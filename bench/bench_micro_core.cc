@@ -97,9 +97,11 @@ void BM_PartitionCategorical(benchmark::State& state) {
   for (size_t i = 0; i < all.size(); ++i) {
     all[i] = i;
   }
+  // A shadowless view: the generic per-Value walk offline callers take.
+  const TableView view = TableView::All(fixture.result, nullptr);
   for (auto _ : state) {
-    auto parts = PartitionCategorical(fixture.result, all, "neighborhood",
-                                      *fixture.stats);
+    auto parts =
+        PartitionCategorical(view, all, "neighborhood", *fixture.stats);
     AUTOCAT_CHECK(parts.ok());
     benchmark::DoNotOptimize(parts->size());
   }
@@ -114,9 +116,10 @@ void BM_PartitionNumeric(benchmark::State& state) {
     all[i] = i;
   }
   NumericPartitionOptions options;
+  const TableView view = TableView::All(fixture.result, nullptr);
   for (auto _ : state) {
-    auto parts = PartitionNumeric(fixture.result, all, "price",
-                                  *fixture.stats, options, nullptr);
+    auto parts = PartitionNumeric(view, all, "price", *fixture.stats, options,
+                                  nullptr);
     AUTOCAT_CHECK(parts.ok());
     benchmark::DoNotOptimize(parts->size());
   }

@@ -93,7 +93,11 @@ double Histogram::PercentileEstimate(double p) const {
       const double frac =
           (target - static_cast<double>(seen)) /
           static_cast<double>(counts_[i]);
-      return lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
+      // Interpolation assumes the bucket is filled evenly; a sparse
+      // bucket would place the estimate outside the data, so it is
+      // clamped to the observed range.
+      return std::clamp(lo + (hi - lo) * std::clamp(frac, 0.0, 1.0), min_,
+                        max_);
     }
     seen = next;
   }

@@ -279,36 +279,11 @@ NumericPartitionOptions NumericOptionsOf(const CategorizerOptions& options) {
 // Cost-based partitioning dispatch (Sections 5.1.2 / 5.1.3). `index`,
 // when non-null, is the cold pipeline's precomputed ResultAttributeIndex;
 // the partitioners reuse its root-level sorted values / groups.
-PartitionFn MakeCostBasedPartition(const Table& result,
-                                   const WorkloadStats* stats,
-                                   const CategorizerOptions& options,
-                                   const SelectionProfile* query,
-                                   const ResultAttributeIndex* index =
-                                       nullptr) {
-  return [&result, stats, &options, query, index](
-             const std::vector<size_t>& tuples,
-             const std::string& attribute)
-             -> Result<std::vector<PartitionCategory>> {
-    AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                             result.schema().ColumnIndex(attribute));
-    if (result.schema().column(col).kind == ColumnKind::kCategorical) {
-      return PartitionCategorical(result, tuples, attribute, *stats, index);
-    }
-    return PartitionNumeric(result, tuples, attribute, *stats,
-                            NumericOptionsOf(options),
-                            QueryRangeFor(query, attribute), index);
-  };
-}
-
-// Columnar flavor of the cost-based dispatch: identical decisions, with
-// the partitioners reading through the view's dictionary codes / typed
-// arrays instead of result cells.
 PartitionFn MakeCostBasedPartition(const TableView& view,
                                    const WorkloadStats* stats,
                                    const CategorizerOptions& options,
                                    const SelectionProfile* query,
-                                   const ResultAttributeIndex* index =
-                                       nullptr) {
+                                   const ResultAttributeIndex* index) {
   return [&view, stats, &options, query, index](
              const std::vector<size_t>& tuples,
              const std::string& attribute)
@@ -324,36 +299,13 @@ PartitionFn MakeCostBasedPartition(const TableView& view,
   };
 }
 
-// Summary twins of the two dispatches above, for two-phase scoring. Must
-// take the same branches so the summaries mirror the partitions exactly.
-SummarizeFn MakeCostBasedSummarize(const Table& result,
-                                   const WorkloadStats* stats,
-                                   const CategorizerOptions& options,
-                                   const SelectionProfile* query,
-                                   const ResultAttributeIndex* index =
-                                       nullptr) {
-  return [&result, stats, &options, query, index](
-             const std::vector<size_t>& tuples,
-             const std::string& attribute)
-             -> Result<std::vector<PartitionSummary>> {
-    AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                             result.schema().ColumnIndex(attribute));
-    if (result.schema().column(col).kind == ColumnKind::kCategorical) {
-      return SummarizePartitionCategorical(result, tuples, attribute,
-                                           *stats, index);
-    }
-    return SummarizePartitionNumeric(result, tuples, attribute, *stats,
-                                     NumericOptionsOf(options),
-                                     QueryRangeFor(query, attribute), index);
-  };
-}
-
+// Summary twin of the dispatch above, for two-phase scoring. Must take
+// the same branches so the summaries mirror the partitions exactly.
 SummarizeFn MakeCostBasedSummarize(const TableView& view,
                                    const WorkloadStats* stats,
                                    const CategorizerOptions& options,
                                    const SelectionProfile* query,
-                                   const ResultAttributeIndex* index =
-                                       nullptr) {
+                                   const ResultAttributeIndex* index) {
   return [&view, stats, &options, query, index](
              const std::vector<size_t>& tuples,
              const std::string& attribute)
@@ -372,25 +324,44 @@ SummarizeFn MakeCostBasedSummarize(const TableView& view,
 
 // Baseline partitioning dispatch (Section 6.1): arbitrary-order
 // single-value categories and equi-width buckets.
-PartitionFn MakeBaselinePartition(const Table& result,
+PartitionFn MakeBaselinePartition(const TableView& view,
                                   const WorkloadStats* stats,
                                   const CategorizerOptions& options,
                                   const SelectionProfile* query,
                                   Random* rng) {
-  return [&result, stats, &options, query, rng](
+  return [&view, stats, &options, query, rng](
              const std::vector<size_t>& tuples,
              const std::string& attribute)
              -> Result<std::vector<PartitionCategory>> {
     AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                             result.schema().ColumnIndex(attribute));
-    if (result.schema().column(col).kind == ColumnKind::kCategorical) {
-      return PartitionCategoricalArbitrary(result, tuples, attribute, rng);
+                             view.schema().ColumnIndex(attribute));
+    if (view.schema().column(col).kind == ColumnKind::kCategorical) {
+      return PartitionCategoricalArbitrary(view, tuples, attribute, rng);
     }
     const double width = options.equiwidth_interval_multiplier *
                          stats->split_interval(attribute);
-    return PartitionNumericEquiWidth(result, tuples, attribute, width,
+    return PartitionNumericEquiWidth(view, tuples, attribute, width,
                                      QueryRangeFor(query, attribute));
   };
+}
+
+// The tree's tuple indices are rows of `result`; the partitioners read the
+// same rows through `view`, so the two must describe one relation.
+Status CheckViewMatchesResult(const TableView& view, const Table& result) {
+  if (view.num_rows() != result.num_rows() ||
+      view.num_columns() != result.num_columns()) {
+    return Status::InvalidArgument(
+        "view shape does not match the result table");
+  }
+  for (size_t c = 0; c < result.num_columns(); ++c) {
+    if (view.schema().column(c).name != result.schema().column(c).name ||
+        view.schema().column(c).type != result.schema().column(c).type ||
+        view.schema().column(c).kind != result.schema().column(c).kind) {
+      return Status::InvalidArgument(
+          "view schema does not match the result table");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -411,19 +382,9 @@ std::vector<std::string> CostBasedCategorizer::RetainedAttributes(
   return retained;
 }
 
-Result<CategoryTree> CostBasedCategorizer::Categorize(
+Result<CategoryTree> Categorizer::Categorize(
     const Table& result, const SelectionProfile* query) const {
-  ProbabilityEstimator estimator(stats_, &result.schema());
-  CostModel model(&estimator, options_.cost_params);
-  return BuildLevelByLevel(
-      result, RetainedAttributes(result.schema()), model,
-      /*cost_based_choice=*/true,
-      MakeCostBasedPartition(result, stats_, options_, query),
-      options_.two_phase_scoring
-          ? MakeCostBasedSummarize(result, stats_, options_, query)
-          : SummarizeFn(),
-      options_.max_tuples_per_category, options_.max_levels,
-      &options_.parallel);
+  return Categorize(TableView::All(result, nullptr), result, query);
 }
 
 Result<CategoryTree> CostBasedCategorizer::Categorize(
@@ -435,21 +396,7 @@ Result<CategoryTree> CostBasedCategorizer::Categorize(
 Result<CategoryTree> CostBasedCategorizer::Categorize(
     const TableView& view, const Table& result, const SelectionProfile* query,
     const ResultAttributeIndex* index) const {
-  // The tree's tuple indices are rows of `result`; the partitioners read
-  // the same rows through `view`, so the two must describe one relation.
-  if (view.num_rows() != result.num_rows() ||
-      view.num_columns() != result.num_columns()) {
-    return Status::InvalidArgument(
-        "view shape does not match the result table");
-  }
-  for (size_t c = 0; c < result.num_columns(); ++c) {
-    if (view.schema().column(c).name != result.schema().column(c).name ||
-        view.schema().column(c).type != result.schema().column(c).type ||
-        view.schema().column(c).kind != result.schema().column(c).kind) {
-      return Status::InvalidArgument(
-          "view schema does not match the result table");
-    }
-  }
+  AUTOCAT_RETURN_IF_ERROR(CheckViewMatchesResult(view, result));
   if (index != nullptr && index->num_rows != result.num_rows()) {
     return Status::InvalidArgument(
         "attribute index does not cover the result table");
@@ -460,15 +407,15 @@ Result<CategoryTree> CostBasedCategorizer::Categorize(
       result, RetainedAttributes(result.schema()), model,
       /*cost_based_choice=*/true,
       MakeCostBasedPartition(view, stats_, options_, query, index),
-      options_.two_phase_scoring
-          ? MakeCostBasedSummarize(view, stats_, options_, query, index)
-          : SummarizeFn(),
+      MakeCostBasedSummarize(view, stats_, options_, query, index),
       options_.max_tuples_per_category, options_.max_levels,
       &options_.parallel);
 }
 
 Result<CategoryTree> AttrCostCategorizer::Categorize(
-    const Table& result, const SelectionProfile* query) const {
+    const TableView& view, const Table& result,
+    const SelectionProfile* query) const {
+  AUTOCAT_RETURN_IF_ERROR(CheckViewMatchesResult(view, result));
   ProbabilityEstimator estimator(stats_, &result.schema());
   CostModel model(&estimator, options_.cost_params);
   Random rng(options_.arbitrary_seed);
@@ -481,7 +428,7 @@ Result<CategoryTree> AttrCostCategorizer::Categorize(
   return BuildLevelByLevel(
       result, candidates, model,
       /*cost_based_choice=*/true,
-      MakeBaselinePartition(result, stats_, options_, query, &rng),
+      MakeBaselinePartition(view, stats_, options_, query, &rng),
       /*summarize=*/SummarizeFn(),
       options_.max_tuples_per_category, options_.max_levels,
       /*parallel=*/nullptr);
@@ -493,17 +440,20 @@ Result<CategoryTree> CategorizeWithFixedAttributeOrder(
     const SelectionProfile* query) {
   ProbabilityEstimator estimator(stats, &result.schema());
   CostModel model(&estimator, options.cost_params);
+  const TableView view = TableView::All(result, nullptr);
   return BuildLevelByLevel(
       result, attribute_order, model,
       /*cost_based_choice=*/false,
-      MakeCostBasedPartition(result, stats, options, query),
+      MakeCostBasedPartition(view, stats, options, query, /*index=*/nullptr),
       /*summarize=*/SummarizeFn(),
       options.max_tuples_per_category, options.max_levels,
       /*parallel=*/nullptr);
 }
 
 Result<CategoryTree> NoCostCategorizer::Categorize(
-    const Table& result, const SelectionProfile* query) const {
+    const TableView& view, const Table& result,
+    const SelectionProfile* query) const {
+  AUTOCAT_RETURN_IF_ERROR(CheckViewMatchesResult(view, result));
   ProbabilityEstimator estimator(stats_, &result.schema());
   CostModel model(&estimator, options_.cost_params);
   Random rng(options_.arbitrary_seed);
@@ -515,7 +465,7 @@ Result<CategoryTree> NoCostCategorizer::Categorize(
   return BuildLevelByLevel(
       result, std::move(candidates), model,
       /*cost_based_choice=*/false,
-      MakeBaselinePartition(result, stats_, options_, query, &rng),
+      MakeBaselinePartition(view, stats_, options_, query, &rng),
       /*summarize=*/SummarizeFn(),
       options_.max_tuples_per_category, options_.max_levels,
       /*parallel=*/nullptr);

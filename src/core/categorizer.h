@@ -55,17 +55,6 @@ struct CategorizerOptions {
   /// and category order).
   uint64_t arbitrary_seed = 42;
 
-  /// Two-phase candidate scoring (cost-based technique only): candidate
-  /// attributes are *scored* from partition summaries (labels + tset
-  /// sizes — everything the cost model reads) and only the winning
-  /// attribute's partition is materialized with tuple vectors. The winner
-  /// and its partition are bit-identical to single-phase construction
-  /// because the summaries mirror the partitions exactly and the
-  /// partition functions are pure. The baselines never use this (their
-  /// partitioners share a mutable Random whose stream the tree depends
-  /// on).
-  bool two_phase_scoring = true;
-
   /// Threads used by the cost-based technique to score candidate
   /// attributes concurrently per level. Candidate costs are reduced in
   /// candidate order with a strict-minimum tie-break, so the chosen tree
@@ -75,30 +64,30 @@ struct CategorizerOptions {
   ParallelOptions parallel;
 };
 
-/// Common interface of the categorization techniques. `Categorize` builds
-/// a category tree over `result`; `query`, when non-null, is the user
-/// query that produced `result` (its numeric selection bounds supply
-/// vmin/vmax for range partitioning). The returned tree references
-/// `result`, which must outlive it.
+/// Common interface of the categorization techniques. A technique builds
+/// a category tree over the rows of `result`, reading their cells through
+/// `view`; `query`, when non-null, is the user query that produced
+/// `result` (its numeric selection bounds supply vmin/vmax for range
+/// partitioning). The returned tree references `result`, which must
+/// outlive it.
 class Categorizer {
  public:
   virtual ~Categorizer() = default;
 
-  virtual Result<CategoryTree> Categorize(
-      const Table& result, const SelectionProfile* query) const = 0;
+  /// Builds the tree over `result` read through a shadowless view
+  /// (`TableView::All(result, nullptr)`): row cells for a row-backed
+  /// table, synthesized cells for a column-backed one.
+  Result<CategoryTree> Categorize(const Table& result,
+                                  const SelectionProfile* query) const;
 
-  /// View-aware overload for the columnar serving path: `view` describes
-  /// the same rows as `result` (view row i == result row i; `result` is
-  /// the view materialized and owns the tuples the tree references).
-  /// Techniques that can read through the view override this to partition
-  /// on dictionary codes / typed arrays; the default ignores the view and
-  /// builds from `result`. Either way the tree is identical.
+  /// `view` describes the same rows as `result` (view row i == result row
+  /// i; `result` is the view materialized and owns the tuples the tree
+  /// references). A view with a columnar shadow lets the partitioners read
+  /// dictionary codes / typed arrays; the tree is identical either way.
+  /// Errors InvalidArgument when `view` and `result` disagree on shape.
   virtual Result<CategoryTree> Categorize(
       const TableView& view, const Table& result,
-      const SelectionProfile* query) const {
-    (void)view;
-    return Categorize(result, query);
-  }
+      const SelectionProfile* query) const = 0;
 
   /// Display name ("Cost-based", "Attr-cost", "No cost").
   virtual std::string name() const = 0;
@@ -115,17 +104,12 @@ class CostBasedCategorizer final : public Categorizer {
                        CategorizerOptions options)
       : stats_(stats), options_(std::move(options)) {}
 
-  Result<CategoryTree> Categorize(
-      const Table& result, const SelectionProfile* query) const override;
-
-  /// Columnar construction: the same level-by-level algorithm with the
-  /// partitioners reading dictionary codes / typed arrays through `view`.
-  /// Errors InvalidArgument when `view` and `result` disagree on shape.
+  using Categorizer::Categorize;  // keep the Table wrapper reachable
   Result<CategoryTree> Categorize(
       const TableView& view, const Table& result,
       const SelectionProfile* query) const override;
 
-  /// Columnar construction with a precomputed `ResultAttributeIndex` over
+  /// Construction with a precomputed `ResultAttributeIndex` over
   /// `result` (built by the cold pipeline's StatsAccumulate sink): the
   /// root-level partitioners reuse its sorted values / value groups
   /// instead of rescanning, producing the identical tree. `index` may be
@@ -155,9 +139,10 @@ class AttrCostCategorizer final : public Categorizer {
   AttrCostCategorizer(const WorkloadStats* stats, CategorizerOptions options)
       : stats_(stats), options_(std::move(options)) {}
 
-  using Categorizer::Categorize;  // keep the view overload reachable
+  using Categorizer::Categorize;  // keep the Table wrapper reachable
   Result<CategoryTree> Categorize(
-      const Table& result, const SelectionProfile* query) const override;
+      const TableView& view, const Table& result,
+      const SelectionProfile* query) const override;
   std::string name() const override { return "Attr-cost"; }
 
  private:
@@ -174,9 +159,10 @@ class NoCostCategorizer final : public Categorizer {
   NoCostCategorizer(const WorkloadStats* stats, CategorizerOptions options)
       : stats_(stats), options_(std::move(options)) {}
 
-  using Categorizer::Categorize;  // keep the view overload reachable
+  using Categorizer::Categorize;  // keep the Table wrapper reachable
   Result<CategoryTree> Categorize(
-      const Table& result, const SelectionProfile* query) const override;
+      const TableView& view, const Table& result,
+      const SelectionProfile* query) const override;
   std::string name() const override { return "No cost"; }
 
  private:

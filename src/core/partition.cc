@@ -97,50 +97,27 @@ Status ValidateCategoricalPartition(
 
 namespace {
 
-// Collects (value, row-index) pairs for the non-NULL cells of `attribute`
-// among `tuples`, plus the column index.
-Result<size_t> AttributeColumn(const Table& result,
-                               const std::string& attribute) {
-  return result.schema().ColumnIndex(attribute);
-}
-
-Result<size_t> AttributeColumn(const TableView& view,
-                               const std::string& attribute) {
-  return view.schema().ColumnIndex(attribute);
-}
-
-// Distinct-value groups over `tuples` in ascending value order, NULL cells
-// dropped — the shape both categorical partitioners consume.
-using ValueGroups = std::vector<std::pair<Value, std::vector<size_t>>>;
-
-ValueGroups GroupsOf(const Table& result, const std::vector<size_t>& tuples,
-                     size_t col) {
-  std::map<Value, std::vector<size_t>> groups;
-  for (size_t idx : tuples) {
-    const Value& v = result.ValueAt(idx, col);
-    if (!v.is_null()) {
-      groups[v].push_back(idx);
-    }
-  }
-  ValueGroups out;
-  out.reserve(groups.size());
-  for (auto& [value, group] : groups) {
-    out.emplace_back(value, std::move(group));
-  }
-  return out;
-}
-
-// View flavor: a dictionary-encoded string column groups by code — the
-// dictionary is sorted, so ascending code order *is* ascending value
-// order and the map walk above is reproduced without Value comparisons.
-ValueGroups GroupsOf(const TableView& view, const std::vector<size_t>& tuples,
-                     size_t col) {
+// Distinct non-NULL values of view column `col` among `tuples` in
+// ascending value order, each paired with a `Group` that `add` folds its
+// tuples into (GroupsOf collects the indices, CountsOf counts them). A
+// dictionary-encoded string column groups by code: the dictionary is
+// sorted, so ascending code order *is* ascending value order. A regular
+// int64 column groups by the raw value: int64 order equals Value order
+// when every non-NULL cell is an int64. A regular double column wraps the
+// raw bits in a Value so ordering (including any NaN handling) matches
+// the generic walk exactly. Every branch reproduces the Value-map walk
+// over the cells.
+template <typename Group, typename Add>
+std::vector<std::pair<Value, Group>> GroupBy(const TableView& view,
+                                             const std::vector<size_t>& tuples,
+                                             size_t col, Add add) {
+  std::vector<std::pair<Value, Group>> out;
   const ColumnarTable::Column* cc =
       view.columnar() == nullptr
           ? nullptr
           : &view.columnar()->column(view.base_column(col));
   if (cc != nullptr && cc->regular && cc->type == ValueType::kString) {
-    std::vector<std::vector<size_t>> buckets(cc->dict.size());
+    std::vector<Group> buckets(cc->dict.size());
     std::vector<uint32_t> touched;
     for (size_t idx : tuples) {
       const uint32_t row = view.base_row(idx);
@@ -148,13 +125,14 @@ ValueGroups GroupsOf(const TableView& view, const std::vector<size_t>& tuples,
         continue;
       }
       const uint32_t code = cc->codes[row];
-      if (buckets[code].empty()) {
+      // `add` never leaves a group default-valued, so a default bucket is
+      // one no tuple has reached yet.
+      if (buckets[code] == Group{}) {
         touched.push_back(code);
       }
-      buckets[code].push_back(idx);
+      add(buckets[code], idx);
     }
     std::sort(touched.begin(), touched.end());
-    ValueGroups out;
     out.reserve(touched.size());
     for (uint32_t code : touched) {
       out.emplace_back(Value(cc->dict[code]), std::move(buckets[code]));
@@ -162,32 +140,25 @@ ValueGroups GroupsOf(const TableView& view, const std::vector<size_t>& tuples,
     return out;
   }
   if (cc != nullptr && cc->regular && cc->type == ValueType::kInt64) {
-    // Regular int64 column: int64 order equals Value order when every
-    // non-NULL cell is an int64, so grouping by the raw value reproduces
-    // the Value-map walk (and reads mapped segments without synthesizing
-    // cells).
-    std::map<int64_t, std::vector<size_t>> groups;
+    std::map<int64_t, Group> groups;
     for (size_t idx : tuples) {
       const uint32_t row = view.base_row(idx);
       if (!cc->IsNull(row)) {
-        groups[cc->i64[row]].push_back(idx);
+        add(groups[cc->i64[row]], idx);
       }
     }
-    ValueGroups out;
     out.reserve(groups.size());
     for (auto& [value, group] : groups) {
       out.emplace_back(Value(value), std::move(group));
     }
     return out;
   }
-  std::map<Value, std::vector<size_t>> groups;
+  std::map<Value, Group> groups;
   if (cc != nullptr && cc->regular && cc->type == ValueType::kDouble) {
-    // Regular double column: wrap the raw bits in a Value so ordering
-    // (including any NaN handling) matches the generic walk exactly.
     for (size_t idx : tuples) {
       const uint32_t row = view.base_row(idx);
       if (!cc->IsNull(row)) {
-        groups[Value(cc->f64[row])].push_back(idx);
+        add(groups[Value(cc->f64[row])], idx);
       }
     }
   } else if (!view.base().has_rows()) {
@@ -196,23 +167,41 @@ ValueGroups GroupsOf(const TableView& view, const std::vector<size_t>& tuples,
       Value v = view.base().CellValue(view.base_row(idx),
                                       view.base_column(col));
       if (!v.is_null()) {
-        groups[std::move(v)].push_back(idx);
+        add(groups[std::move(v)], idx);
       }
     }
   } else {
     for (size_t idx : tuples) {
       const Value& v = view.ValueAt(idx, col);
       if (!v.is_null()) {
-        groups[v].push_back(idx);
+        add(groups[v], idx);
       }
     }
   }
-  ValueGroups out;
   out.reserve(groups.size());
   for (auto& [value, group] : groups) {
     out.emplace_back(value, std::move(group));
   }
   return out;
+}
+
+// The shape both categorical partitioners consume.
+using ValueGroups = std::vector<std::pair<Value, std::vector<size_t>>>;
+
+ValueGroups GroupsOf(const TableView& view, const std::vector<size_t>& tuples,
+                     size_t col) {
+  return GroupBy<std::vector<size_t>>(
+      view, tuples, col,
+      [](std::vector<size_t>& group, size_t idx) { group.push_back(idx); });
+}
+
+// The groups' sizes without the groups: what the summaries consume.
+using ValueCounts = std::vector<std::pair<Value, size_t>>;
+
+ValueCounts CountsOf(const TableView& view, const std::vector<size_t>& tuples,
+                     size_t col) {
+  return GroupBy<size_t>(view, tuples, col,
+                         [](size_t& count, size_t) { ++count; });
 }
 
 // The index entry usable for (`tuples`, `col`), or nullptr: entries
@@ -240,93 +229,6 @@ ValueGroups GroupsFromIndex(const AttributeIndexEntry& entry) {
     out.emplace_back(value, group);
   }
   return out;
-}
-
-// Distinct-value counts in ascending value order, NULL cells dropped —
-// the groups' sizes without the groups. Branch structure mirrors
-// GroupsOf so the counted (and ordered) values are identical.
-using ValueCounts = std::vector<std::pair<Value, size_t>>;
-
-ValueCounts CountsOf(const Table& result, const std::vector<size_t>& tuples,
-                     size_t col) {
-  std::map<Value, size_t> counts;
-  for (size_t idx : tuples) {
-    const Value& v = result.ValueAt(idx, col);
-    if (!v.is_null()) {
-      ++counts[v];
-    }
-  }
-  return ValueCounts(counts.begin(), counts.end());
-}
-
-ValueCounts CountsOf(const TableView& view, const std::vector<size_t>& tuples,
-                     size_t col) {
-  const ColumnarTable::Column* cc =
-      view.columnar() == nullptr
-          ? nullptr
-          : &view.columnar()->column(view.base_column(col));
-  if (cc != nullptr && cc->regular && cc->type == ValueType::kString) {
-    std::vector<size_t> per_code(cc->dict.size(), 0);
-    std::vector<uint32_t> touched;
-    for (size_t idx : tuples) {
-      const uint32_t row = view.base_row(idx);
-      if (cc->IsNull(row)) {
-        continue;
-      }
-      const uint32_t code = cc->codes[row];
-      if (per_code[code] == 0) {
-        touched.push_back(code);
-      }
-      ++per_code[code];
-    }
-    std::sort(touched.begin(), touched.end());
-    ValueCounts out;
-    out.reserve(touched.size());
-    for (uint32_t code : touched) {
-      out.emplace_back(Value(cc->dict[code]), per_code[code]);
-    }
-    return out;
-  }
-  if (cc != nullptr && cc->regular && cc->type == ValueType::kInt64) {
-    std::map<int64_t, size_t> counts;
-    for (size_t idx : tuples) {
-      const uint32_t row = view.base_row(idx);
-      if (!cc->IsNull(row)) {
-        ++counts[cc->i64[row]];
-      }
-    }
-    ValueCounts out;
-    out.reserve(counts.size());
-    for (const auto& [value, count] : counts) {
-      out.emplace_back(Value(value), count);
-    }
-    return out;
-  }
-  std::map<Value, size_t> counts;
-  if (cc != nullptr && cc->regular && cc->type == ValueType::kDouble) {
-    for (size_t idx : tuples) {
-      const uint32_t row = view.base_row(idx);
-      if (!cc->IsNull(row)) {
-        ++counts[Value(cc->f64[row])];
-      }
-    }
-  } else if (!view.base().has_rows()) {
-    for (size_t idx : tuples) {
-      Value v = view.base().CellValue(view.base_row(idx),
-                                      view.base_column(col));
-      if (!v.is_null()) {
-        ++counts[std::move(v)];
-      }
-    }
-  } else {
-    for (size_t idx : tuples) {
-      const Value& v = view.ValueAt(idx, col);
-      if (!v.is_null()) {
-        ++counts[v];
-      }
-    }
-  }
-  return ValueCounts(counts.begin(), counts.end());
 }
 
 // Section 5.1.2 presentation order over pre-grouped values.
@@ -420,26 +322,11 @@ std::vector<PartitionCategory> ArbitraryCategoricalFromGroups(
 }  // namespace
 
 Result<std::vector<PartitionCategory>> PartitionCategorical(
-    const Table& result, const std::vector<size_t>& tuples,
-    const std::string& attribute, const WorkloadStats& stats,
-    const ResultAttributeIndex* index) {
-  AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           AttributeColumn(result, attribute));
-  if (const AttributeIndexEntry* entry = RootIndexEntry(index, col, tuples);
-      entry != nullptr && entry->has_groups) {
-    return CostCategoricalFromGroups(attribute, stats,
-                                     GroupsFromIndex(*entry));
-  }
-  return CostCategoricalFromGroups(attribute, stats,
-                                   GroupsOf(result, tuples, col));
-}
-
-Result<std::vector<PartitionCategory>> PartitionCategorical(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, const WorkloadStats& stats,
     const ResultAttributeIndex* index) {
   AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           AttributeColumn(view, attribute));
+                           view.schema().ColumnIndex(attribute));
   if (const AttributeIndexEntry* entry = RootIndexEntry(index, col, tuples);
       entry != nullptr && entry->has_groups) {
     return CostCategoricalFromGroups(attribute, stats,
@@ -450,26 +337,11 @@ Result<std::vector<PartitionCategory>> PartitionCategorical(
 }
 
 Result<std::vector<PartitionSummary>> SummarizePartitionCategorical(
-    const Table& result, const std::vector<size_t>& tuples,
-    const std::string& attribute, const WorkloadStats& stats,
-    const ResultAttributeIndex* index) {
-  AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           AttributeColumn(result, attribute));
-  if (const AttributeIndexEntry* entry = RootIndexEntry(index, col, tuples);
-      entry != nullptr && entry->has_groups) {
-    return CostCategoricalSummaryFromCounts(attribute, stats,
-                                            CountsFromIndex(*entry));
-  }
-  return CostCategoricalSummaryFromCounts(attribute, stats,
-                                          CountsOf(result, tuples, col));
-}
-
-Result<std::vector<PartitionSummary>> SummarizePartitionCategorical(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, const WorkloadStats& stats,
     const ResultAttributeIndex* index) {
   AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           AttributeColumn(view, attribute));
+                           view.schema().ColumnIndex(attribute));
   if (const AttributeIndexEntry* entry = RootIndexEntry(index, col, tuples);
       entry != nullptr && entry->has_groups) {
     return CostCategoricalSummaryFromCounts(attribute, stats,
@@ -523,26 +395,8 @@ std::vector<PartitionCategory> MaterializeBuckets(
   return out;
 }
 
-Result<std::vector<std::pair<double, size_t>>> SortedNumericValues(
-    const Table& result, const std::vector<size_t>& tuples, size_t col,
-    const std::string& attribute) {
-  if (result.schema().column(col).kind != ColumnKind::kNumeric) {
-    return Status::InvalidArgument("attribute '" + attribute +
-                                   "' is not numeric");
-  }
-  std::vector<std::pair<double, size_t>> values;
-  values.reserve(tuples.size());
-  for (size_t idx : tuples) {
-    const Value& v = result.ValueAt(idx, col);
-    if (!v.is_null()) {
-      values.emplace_back(v.AsDouble(), idx);
-    }
-  }
-  std::sort(values.begin(), values.end());
-  return values;
-}
-
-// View flavor: reads the typed arrays (and the null bitmap) directly when
+// The non-NULL (value, tuple) pairs of numeric column `col` in ascending
+// order. Reads the typed arrays (and the null bitmap) directly when
 // the column has a regular columnar shadow; falls back to the generic
 // cell walk otherwise. Extracted doubles are identical to AsDouble().
 Result<std::vector<std::pair<double, size_t>>> SortedNumericValues(
@@ -729,8 +583,7 @@ NumericBucketPlan PlanNumericBuckets(
   return plan;
 }
 
-// Section 5.1.3 over pre-sorted (value, index) pairs; shared by the Table
-// and TableView overloads.
+// Section 5.1.3 over pre-sorted (value, index) pairs.
 std::vector<PartitionCategory> PartitionNumericCore(
     const std::string& attribute, const WorkloadStats& stats,
     const NumericPartitionOptions& options, const NumericRange* query_range,
@@ -824,32 +677,12 @@ std::vector<PartitionCategory> EquiWidthCore(
 }  // namespace
 
 Result<std::vector<PartitionCategory>> PartitionNumeric(
-    const Table& result, const std::vector<size_t>& tuples,
-    const std::string& attribute, const WorkloadStats& stats,
-    const NumericPartitionOptions& options, const NumericRange* query_range,
-    const ResultAttributeIndex* index) {
-  AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           AttributeColumn(result, attribute));
-  // Index entries exist only for numeric-kind columns, so the reuse path
-  // cannot skip the kind check SortedNumericValues performs.
-  if (const AttributeIndexEntry* entry = RootIndexEntry(index, col, tuples);
-      entry != nullptr && entry->has_sorted_values) {
-    return PartitionNumericCore(attribute, stats, options, query_range,
-                                entry->sorted_values);
-  }
-  AUTOCAT_ASSIGN_OR_RETURN(
-      const auto values, SortedNumericValues(result, tuples, col, attribute));
-  return PartitionNumericCore(attribute, stats, options, query_range,
-                              values);
-}
-
-Result<std::vector<PartitionCategory>> PartitionNumeric(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, const WorkloadStats& stats,
     const NumericPartitionOptions& options, const NumericRange* query_range,
     const ResultAttributeIndex* index) {
   AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           AttributeColumn(view, attribute));
+                           view.schema().ColumnIndex(attribute));
   if (const AttributeIndexEntry* entry = RootIndexEntry(index, col, tuples);
       entry != nullptr && entry->has_sorted_values) {
     return PartitionNumericCore(attribute, stats, options, query_range,
@@ -862,30 +695,12 @@ Result<std::vector<PartitionCategory>> PartitionNumeric(
 }
 
 Result<std::vector<PartitionSummary>> SummarizePartitionNumeric(
-    const Table& result, const std::vector<size_t>& tuples,
-    const std::string& attribute, const WorkloadStats& stats,
-    const NumericPartitionOptions& options, const NumericRange* query_range,
-    const ResultAttributeIndex* index) {
-  AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           AttributeColumn(result, attribute));
-  if (const AttributeIndexEntry* entry = RootIndexEntry(index, col, tuples);
-      entry != nullptr && entry->has_sorted_values) {
-    return SummarizeNumericCore(attribute, stats, options, query_range,
-                                entry->sorted_values);
-  }
-  AUTOCAT_ASSIGN_OR_RETURN(
-      const auto values, SortedNumericValues(result, tuples, col, attribute));
-  return SummarizeNumericCore(attribute, stats, options, query_range,
-                              values);
-}
-
-Result<std::vector<PartitionSummary>> SummarizePartitionNumeric(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, const WorkloadStats& stats,
     const NumericPartitionOptions& options, const NumericRange* query_range,
     const ResultAttributeIndex* index) {
   AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           AttributeColumn(view, attribute));
+                           view.schema().ColumnIndex(attribute));
   if (const AttributeIndexEntry* entry = RootIndexEntry(index, col, tuples);
       entry != nullptr && entry->has_sorted_values) {
     return SummarizeNumericCore(attribute, stats, options, query_range,
@@ -898,38 +713,15 @@ Result<std::vector<PartitionSummary>> SummarizePartitionNumeric(
 }
 
 Result<std::vector<PartitionCategory>> PartitionCategoricalArbitrary(
-    const Table& result, const std::vector<size_t>& tuples,
-    const std::string& attribute, Random* rng) {
-  AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           AttributeColumn(result, attribute));
-  return ArbitraryCategoricalFromGroups(attribute, rng,
-                                        GroupsOf(result, tuples, col));
-}
-
-Result<std::vector<PartitionCategory>> PartitionCategoricalArbitrary(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, Random* rng) {
   AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           AttributeColumn(view, attribute));
+                           view.schema().ColumnIndex(attribute));
   return ArbitraryCategoricalFromGroups(attribute, rng,
                                         GroupsOf(view, tuples, col));
 }
 
 Result<std::vector<PartitionCategory>> PartitionNumericEquiWidth(
-    const Table& result, const std::vector<size_t>& tuples,
-    const std::string& attribute, double width,
-    const NumericRange* query_range) {
-  if (width <= 0) {
-    return Status::InvalidArgument("bucket width must be positive");
-  }
-  AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           AttributeColumn(result, attribute));
-  AUTOCAT_ASSIGN_OR_RETURN(
-      const auto values, SortedNumericValues(result, tuples, col, attribute));
-  return EquiWidthCore(attribute, width, query_range, values);
-}
-
-Result<std::vector<PartitionCategory>> PartitionNumericEquiWidth(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, double width,
     const NumericRange* query_range) {
@@ -937,7 +729,7 @@ Result<std::vector<PartitionCategory>> PartitionNumericEquiWidth(
     return Status::InvalidArgument("bucket width must be positive");
   }
   AUTOCAT_ASSIGN_OR_RETURN(const size_t col,
-                           AttributeColumn(view, attribute));
+                           view.schema().ColumnIndex(attribute));
   AUTOCAT_ASSIGN_OR_RETURN(
       const auto values, SortedNumericValues(view, tuples, col, attribute));
   return EquiWidthCore(attribute, width, query_range, values);

@@ -51,6 +51,13 @@ struct NumericPartitionOptions {
   double goodness_fraction = 0.3;
 };
 
+/// Every partitioner reads the result relation through a `TableView`;
+/// `tuples` index view rows (== rows of the materialized result). A view
+/// with a columnar shadow reads typed arrays and dictionary codes
+/// (dictionary order is value order); a shadowless view
+/// (`TableView::All(table, nullptr)`) reads row cells, or synthesizes them
+/// from a column-backed table. Both produce the identical partition.
+///
 /// Cost-based categorical partitioning (Section 5.1.2): one single-value
 /// category per distinct value of `attribute` among `tuples`, presented in
 /// decreasing occurrence count occ(v) (ties in value order). Tuples with a
@@ -64,16 +71,6 @@ struct NumericPartitionOptions {
 /// functions would build, so the output is bit-identical. Any other
 /// tuple set (or a null/absent entry) falls back to the scan.
 Result<std::vector<PartitionCategory>> PartitionCategorical(
-    const Table& result, const std::vector<size_t>& tuples,
-    const std::string& attribute, const WorkloadStats& stats,
-    const ResultAttributeIndex* index = nullptr);
-
-/// TableView overload. `tuples` index view rows (== rows of the
-/// materialized result, so the output is interchangeable with the Table
-/// overload's). Dictionary-encoded string columns group by code instead of
-/// by `Value` comparisons; dictionary order is value order, so the
-/// partitioning is bit-identical.
-Result<std::vector<PartitionCategory>> PartitionCategorical(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, const WorkloadStats& stats,
     const ResultAttributeIndex* index = nullptr);
@@ -85,13 +82,6 @@ Result<std::vector<PartitionCategory>> PartitionCategorical(
 /// query's selection condition; otherwise the tuple values define the
 /// range. Empty buckets are dropped.
 Result<std::vector<PartitionCategory>> PartitionNumeric(
-    const Table& result, const std::vector<size_t>& tuples,
-    const std::string& attribute, const WorkloadStats& stats,
-    const NumericPartitionOptions& options, const NumericRange* query_range,
-    const ResultAttributeIndex* index = nullptr);
-
-/// TableView overload (typed-array value extraction, identical output).
-Result<std::vector<PartitionCategory>> PartitionNumeric(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, const WorkloadStats& stats,
     const NumericPartitionOptions& options, const NumericRange* query_range,
@@ -102,12 +92,6 @@ Result<std::vector<PartitionCategory>> PartitionNumeric(
 /// order, NULL cells dropped), computed without building any per-category
 /// tuple vector. Two-phase candidate scoring runs on these.
 Result<std::vector<PartitionSummary>> SummarizePartitionCategorical(
-    const Table& result, const std::vector<size_t>& tuples,
-    const std::string& attribute, const WorkloadStats& stats,
-    const ResultAttributeIndex* index = nullptr);
-
-/// TableView overload (dictionary-code counting, identical output).
-Result<std::vector<PartitionSummary>> SummarizePartitionCategorical(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, const WorkloadStats& stats,
     const ResultAttributeIndex* index = nullptr);
@@ -115,13 +99,6 @@ Result<std::vector<PartitionSummary>> SummarizePartitionCategorical(
 /// Summary flavor of `PartitionNumeric`: identical split-point selection
 /// and bucket boundaries (empties dropped the same way), with per-bucket
 /// counts taken by the same binary searches that would slice the tuples.
-Result<std::vector<PartitionSummary>> SummarizePartitionNumeric(
-    const Table& result, const std::vector<size_t>& tuples,
-    const std::string& attribute, const WorkloadStats& stats,
-    const NumericPartitionOptions& options, const NumericRange* query_range,
-    const ResultAttributeIndex* index = nullptr);
-
-/// TableView overload (typed-array value extraction, identical output).
 Result<std::vector<PartitionSummary>> SummarizePartitionNumeric(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, const WorkloadStats& stats,
@@ -132,22 +109,11 @@ Result<std::vector<PartitionSummary>> SummarizePartitionNumeric(
 /// single-value categories in arbitrary order — value order, shuffled when
 /// `rng` is provided.
 Result<std::vector<PartitionCategory>> PartitionCategoricalArbitrary(
-    const Table& result, const std::vector<size_t>& tuples,
-    const std::string& attribute, Random* rng);
-
-/// TableView overload (identical output, including the shuffle order).
-Result<std::vector<PartitionCategory>> PartitionCategoricalArbitrary(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, Random* rng);
 
 /// Baseline numeric partitioning (Section 6.1): equi-width buckets of the
 /// given width aligned to multiples of the width, empty buckets removed.
-Result<std::vector<PartitionCategory>> PartitionNumericEquiWidth(
-    const Table& result, const std::vector<size_t>& tuples,
-    const std::string& attribute, double width,
-    const NumericRange* query_range);
-
-/// TableView overload (typed-array value extraction, identical output).
 Result<std::vector<PartitionCategory>> PartitionNumericEquiWidth(
     const TableView& view, const std::vector<size_t>& tuples,
     const std::string& attribute, double width,

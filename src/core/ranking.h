@@ -6,7 +6,7 @@
 
 #include "common/result.h"
 #include "core/category.h"
-#include "storage/columnar.h"
+#include "storage/table.h"
 #include "workload/counts.h"
 
 namespace autocat {
@@ -23,14 +23,9 @@ namespace autocat {
 /// the ONE scenario (Equation 2).
 
 /// Scores one tuple of `table` over `attributes` (lowercase names are not
-/// required; unknown attributes are an error).
+/// required; unknown attributes are an error). Cells are read with
+/// `Table::CellValue`, so row- and column-backed tables both work.
 Result<double> TupleScore(const Table& table, size_t row,
-                          const std::vector<std::string>& attributes,
-                          const WorkloadStats& stats);
-
-/// TableView overload: scores view row `row` (== the same row of the
-/// materialized table) without materializing.
-Result<double> TupleScore(const TableView& view, size_t row,
                           const std::vector<std::string>& attributes,
                           const WorkloadStats& stats);
 
@@ -38,12 +33,6 @@ Result<double> TupleScore(const TableView& view, size_t row,
 /// input order is the tiebreak).
 Result<std::vector<size_t>> RankTuples(
     const Table& table, const std::vector<size_t>& tuples,
-    const std::vector<std::string>& attributes, const WorkloadStats& stats);
-
-/// TableView overload; `tuples` index view rows. Identical order to the
-/// Table overload over the materialized view.
-Result<std::vector<size_t>> RankTuples(
-    const TableView& view, const std::vector<size_t>& tuples,
     const std::vector<std::string>& attributes, const WorkloadStats& stats);
 
 /// Reorders tset(C) of every node of `tree` by descending tuple score

@@ -59,9 +59,7 @@ Result<ColdPipelineResult> RunColdPipeline(
   // The sinks' Open returns void. autocat-lint: allow(dropped-status)
   selection_sink.Open(input);  // autocat-lint: allow(dropped-status)
   project_sink.Open(input);    // autocat-lint: allow(dropped-status)
-  if (options.build_attr_index) {
-    stats_sink.Open(input);    // autocat-lint: allow(dropped-status)
-  }
+  stats_sink.Open(input);      // autocat-lint: allow(dropped-status)
 
   const size_t n = predicate.num_rows();
 
@@ -105,10 +103,8 @@ Result<ColdPipelineResult> RunColdPipeline(
         project_sink.Push(morsel, survivors.data(), survivors.size());
         const uint64_t t2 = NowNs();
         project_ns.fetch_add(t2 - t1, std::memory_order_relaxed);
-        if (options.build_attr_index) {
-          stats_sink.Push(morsel, survivors.data(), survivors.size());
-          stats_ns.fetch_add(NowNs() - t2, std::memory_order_relaxed);
-        }
+        stats_sink.Push(morsel, survivors.data(), survivors.size());
+        stats_ns.fetch_add(NowNs() - t2, std::memory_order_relaxed);
         return Status::OK();
       }));
 
@@ -123,11 +119,9 @@ Result<ColdPipelineResult> RunColdPipeline(
   AUTOCAT_RETURN_IF_ERROR(project_sink.Finish(offsets));
   const uint64_t t1 = NowNs();
   project_ns.fetch_add(t1 - t0, std::memory_order_relaxed);
-  if (options.build_attr_index) {
-    AUTOCAT_RETURN_IF_ERROR(stats_sink.Finish(offsets));
-    stats_ns.fetch_add(NowNs() - t1, std::memory_order_relaxed);
-    out.attr_index = std::move(stats_sink.index());
-  }
+  AUTOCAT_RETURN_IF_ERROR(stats_sink.Finish(offsets));
+  stats_ns.fetch_add(NowNs() - t1, std::memory_order_relaxed);
+  out.attr_index = std::move(stats_sink.index());
 
   out.selection = std::move(selection_sink.selection());
   out.result = std::move(project_sink.result());

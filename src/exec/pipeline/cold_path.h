@@ -17,9 +17,6 @@ namespace autocat {
 struct ColdPipelineOptions {
   /// Threads for the morsel scheduler (output is identical at any count).
   ParallelOptions parallel;
-  /// Whether to run the StatsAccumulate sink (skip when the caller has no
-  /// use for the attribute index, e.g. when categorization is bypassed).
-  bool build_attr_index = true;
   /// Result columns the StatsAccumulate sink should index, by name
   /// (null = every supported column). Borrowed; must outlive the call.
   const std::vector<std::string>* stats_attributes = nullptr;

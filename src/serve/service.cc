@@ -465,10 +465,16 @@ CategorizationService::StatsForLocked(const std::string& table_key)
 void CategorizationService::PutTable(std::string_view name, Table table) {
   {
     WriterLock lock(state_mu_);
+    // WorkloadStats::Build reads only the workload and the schema, so a
+    // same-schema replace keeps them; a schema change (hence the stats'
+    // numeric/categorical view) rebuilds them lazily on next use.
+    const Result<const Table*> old = db_.GetTable(name);
+    const bool same_schema =
+        old.ok() && old.value()->schema() == table.schema();
     db_.PutTable(name, std::move(table));
-    // The schema (hence the stats' numeric/categorical view) may have
-    // changed; rebuild lazily on next use.
-    stats_by_table_.erase(ToLower(name));
+    if (!same_schema) {
+      stats_by_table_.erase(ToLower(name));
+    }
   }
   cache_.BumpEpoch();
 }

@@ -116,7 +116,8 @@ class CategorizationService {
       AUTOCAT_EXCLUDES(state_mu_);
 
   /// Replaces or creates a table and invalidates every cached entry (the
-  /// epoch bump). Blocks until in-flight requests finish.
+  /// epoch bump). The table's workload stats survive when the schema is
+  /// unchanged. Blocks until in-flight requests finish.
   void PutTable(std::string_view name, Table table)
       AUTOCAT_EXCLUDES(state_mu_);
 

@@ -34,108 +34,6 @@ Result<ColumnStats> ColumnStats::Compute(const Table& table, size_t col) {
   return stats;
 }
 
-Result<ColumnStats> ColumnStats::Compute(const TableView& view, size_t col) {
-  if (col >= view.num_columns()) {
-    return Status::OutOfRange("column index out of range");
-  }
-  ColumnStats stats;
-  stats.column_name = view.schema().column(col).name;
-  stats.row_count = view.num_rows();
-
-  // Identical to the Table overload run over the materialized view; the
-  // typed fast paths below only shortcut the counting.
-  const auto generic = [&view, col](ColumnStats* out) {
-    bool seen = false;
-    for (size_t r = 0; r < view.num_rows(); ++r) {
-      const Value& v = view.ValueAt(r, col);
-      if (v.is_null()) {
-        ++out->null_count;
-        continue;
-      }
-      ++out->value_counts[v];
-      if (!seen) {
-        out->min = v;
-        out->max = v;
-        seen = true;
-      } else {
-        if (v < out->min) out->min = v;
-        if (v > out->max) out->max = v;
-      }
-    }
-  };
-
-  const ColumnarTable::Column* cc =
-      view.columnar() == nullptr
-          ? nullptr
-          : &view.columnar()->column(view.base_column(col));
-  if (cc == nullptr || !cc->regular || cc->type == ValueType::kNull) {
-    generic(&stats);
-    return stats;
-  }
-
-  if (cc->type == ValueType::kString) {
-    // Count per dictionary code; codes ascend in value order, so the map
-    // can be filled with an end hint (amortized O(1) per insert).
-    std::vector<size_t> counts(cc->dict.size() + 1, 0);
-    for (const uint32_t row : view.selection()) {
-      if (cc->IsNull(row)) {
-        ++stats.null_count;
-      } else {
-        ++counts[cc->codes[row]];
-      }
-    }
-    for (size_t code = 0; code < cc->dict.size(); ++code) {
-      if (counts[code] > 0) {
-        stats.value_counts.emplace_hint(stats.value_counts.end(),
-                                        Value(cc->dict[code]), counts[code]);
-      }
-    }
-  } else if (cc->type == ValueType::kInt64) {
-    std::map<int64_t, size_t> counts;
-    for (const uint32_t row : view.selection()) {
-      if (cc->IsNull(row)) {
-        ++stats.null_count;
-      } else {
-        ++counts[cc->i64[row]];
-      }
-    }
-    for (const auto& [v, n] : counts) {
-      stats.value_counts.emplace_hint(stats.value_counts.end(), Value(v), n);
-    }
-  } else {
-    // A NaN cell poisons double ordering (Value::Compare treats NaN as
-    // equal to every numeric); bail to the generic Value-keyed walk so
-    // the result stays bit-identical to the Table overload.
-    std::map<double, size_t> counts;
-    bool has_nan = false;
-    for (const uint32_t row : view.selection()) {
-      if (cc->IsNull(row)) {
-        ++stats.null_count;
-        continue;
-      }
-      const double x = cc->f64[row];
-      if (std::isnan(x)) {
-        has_nan = true;
-        break;
-      }
-      ++counts[x];
-    }
-    if (has_nan) {
-      stats.null_count = 0;
-      generic(&stats);
-      return stats;
-    }
-    for (const auto& [v, n] : counts) {
-      stats.value_counts.emplace_hint(stats.value_counts.end(), Value(v), n);
-    }
-  }
-  if (!stats.value_counts.empty()) {
-    stats.min = stats.value_counts.begin()->first;
-    stats.max = std::prev(stats.value_counts.end())->first;
-  }
-  return stats;
-}
-
 Result<std::vector<HistogramBucket>> EquiWidthHistogram(const Table& table,
                                                         size_t col,
                                                         size_t num_buckets) {

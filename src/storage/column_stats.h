@@ -8,7 +8,6 @@
 
 #include "common/result.h"
 #include "common/value.h"
-#include "storage/columnar.h"
 #include "storage/table.h"
 
 namespace autocat {
@@ -31,13 +30,6 @@ struct ColumnStats {
 
   /// Computes stats for column `col` of `table`.
   static Result<ColumnStats> Compute(const Table& table, size_t col);
-
-  /// Computes stats for view column `col` without materializing. Uses the
-  /// column's typed arrays / dictionary codes when a regular columnar
-  /// shadow is attached (counting per code and emitting `value_counts` in
-  /// dictionary order, which is value order); result is identical to
-  /// Compute over the materialized view.
-  static Result<ColumnStats> Compute(const TableView& view, size_t col);
 };
 
 /// One bucket of an equi-width histogram over a numeric column:

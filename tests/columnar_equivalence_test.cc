@@ -6,9 +6,10 @@
 // by bit pattern), same row order, same error Status — at every tested
 // thread count. These tests replay the checked-in SQL fuzz corpus, sweep
 // randomized queries over a deterministic table seeded with edge values
-// (NaN, -0.0, 2^53+1, INT64_MIN/MAX, NULLs), and pin the view-based
-// overloads (ColumnStats / partitioners / ranking / cost-based
-// categorizer) to their row-store twins.
+// (NaN, -0.0, 2^53+1, INT64_MIN/MAX, NULLs), and pin the partitioners
+// and categorizers reading a view with a columnar shadow (typed arrays,
+// dictionary codes) to the same calls over a shadowless view of the
+// materialized result, whose generic per-Value walk is the oracle.
 
 #include <gtest/gtest.h>
 
@@ -24,12 +25,10 @@
 #include "common/random.h"
 #include "core/categorizer.h"
 #include "core/partition.h"
-#include "core/ranking.h"
 #include "exec/executor.h"
 #include "exec/kernels.h"
 #include "sql/parser.h"
 #include "sql/selection.h"
-#include "storage/column_stats.h"
 #include "storage/columnar.h"
 #include "storage/table.h"
 #include "workload/counts.h"
@@ -310,35 +309,6 @@ TEST(ColumnarEquivalenceTest, ViewMaterializeMatchesSelectRowsProject) {
   }
 }
 
-TEST(ColumnarEquivalenceTest, ColumnStatsViewVsMaterialized) {
-  for (const bool projected : {false, true}) {
-    const ViewFixture f(projected);
-    for (size_t c = 0; c < f.view.num_columns(); ++c) {
-      AUTOCAT_ASSERT_OK_AND_MOVE(ColumnStats from_view,
-                                 ColumnStats::Compute(f.view, c));
-      AUTOCAT_ASSERT_OK_AND_MOVE(ColumnStats from_table,
-                                 ColumnStats::Compute(f.materialized, c));
-      EXPECT_EQ(from_view.column_name, from_table.column_name);
-      EXPECT_EQ(from_view.row_count, from_table.row_count);
-      EXPECT_EQ(from_view.null_count, from_table.null_count);
-      ASSERT_EQ(from_view.value_counts.size(),
-                from_table.value_counts.size())
-          << from_view.column_name;
-      auto it_v = from_view.value_counts.begin();
-      auto it_t = from_table.value_counts.begin();
-      for (; it_t != from_table.value_counts.end(); ++it_v, ++it_t) {
-        EXPECT_TRUE(BitIdentical(it_v->first, it_t->first))
-            << from_view.column_name;
-        EXPECT_EQ(it_v->second, it_t->second) << from_view.column_name;
-      }
-      EXPECT_TRUE(BitIdentical(from_view.min, from_table.min))
-          << from_view.column_name;
-      EXPECT_TRUE(BitIdentical(from_view.max, from_table.max))
-          << from_view.column_name;
-    }
-  }
-}
-
 WorkloadStats FuzzStats() {
   const std::vector<std::string> sqls = {
       "SELECT * FROM homes WHERE price BETWEEN 100000 AND 200000",
@@ -366,115 +336,153 @@ WorkloadStats FuzzStats() {
   return std::move(stats).value();
 }
 
-void ExpectPartitionsIdentical(
-    const std::vector<PartitionCategory>& from_table,
-    const std::vector<PartitionCategory>& from_view,
-    const std::string& context) {
-  ASSERT_EQ(from_table.size(), from_view.size()) << context;
-  for (size_t i = 0; i < from_table.size(); ++i) {
-    const CategoryLabel& a = from_table[i].label;
-    const CategoryLabel& b = from_view[i].label;
-    EXPECT_EQ(a.attribute(), b.attribute()) << context;
-    ASSERT_EQ(a.is_categorical(), b.is_categorical()) << context;
-    if (a.is_categorical()) {
-      ASSERT_EQ(a.values().size(), b.values().size()) << context;
-      for (size_t v = 0; v < a.values().size(); ++v) {
-        EXPECT_TRUE(BitIdentical(a.values()[v], b.values()[v])) << context;
-      }
-    } else {
-      EXPECT_TRUE(BitIdentical(Value(a.lo()), Value(b.lo()))) << context;
-      EXPECT_TRUE(BitIdentical(Value(a.hi()), Value(b.hi()))) << context;
-      EXPECT_EQ(a.hi_inclusive(), b.hi_inclusive()) << context;
+void ExpectLabelsIdentical(const CategoryLabel& a, const CategoryLabel& b,
+                           const std::string& context) {
+  EXPECT_EQ(a.attribute(), b.attribute()) << context;
+  ASSERT_EQ(a.is_categorical(), b.is_categorical()) << context;
+  if (a.is_categorical()) {
+    ASSERT_EQ(a.values().size(), b.values().size()) << context;
+    for (size_t v = 0; v < a.values().size(); ++v) {
+      EXPECT_TRUE(BitIdentical(a.values()[v], b.values()[v])) << context;
     }
-    EXPECT_EQ(from_table[i].tuples, from_view[i].tuples)
+  } else {
+    EXPECT_TRUE(BitIdentical(Value(a.lo()), Value(b.lo()))) << context;
+    EXPECT_TRUE(BitIdentical(Value(a.hi()), Value(b.hi()))) << context;
+    EXPECT_EQ(a.hi_inclusive(), b.hi_inclusive()) << context;
+  }
+}
+
+void ExpectPartitionsIdentical(
+    const std::vector<PartitionCategory>& oracle,
+    const std::vector<PartitionCategory>& typed, const std::string& context) {
+  ASSERT_EQ(oracle.size(), typed.size()) << context;
+  for (size_t i = 0; i < oracle.size(); ++i) {
+    ExpectLabelsIdentical(oracle[i].label, typed[i].label, context);
+    EXPECT_EQ(oracle[i].tuples, typed[i].tuples)
         << context << " category " << i;
   }
 }
 
+void ExpectSummariesIdentical(const std::vector<PartitionSummary>& oracle,
+                              const std::vector<PartitionSummary>& typed,
+                              const std::string& context) {
+  ASSERT_EQ(oracle.size(), typed.size()) << context;
+  for (size_t i = 0; i < oracle.size(); ++i) {
+    ExpectLabelsIdentical(oracle[i].label, typed[i].label, context);
+    EXPECT_EQ(oracle[i].size, typed[i].size) << context << " category " << i;
+  }
+}
+
+// Every partitioner over the shadowed view (typed arrays, dictionary
+// codes) against the same call over a shadowless view of the
+// materialized result (generic per-Value walk), on the root tset and on
+// a strided subset.
 TEST(ColumnarEquivalenceTest, PartitionersViewVsTable) {
   const WorkloadStats stats = FuzzStats();
   for (const bool projected : {false, true}) {
     const ViewFixture f(projected);
-    const std::string tag = projected ? " (projected)" : " (all columns)";
+    const TableView oracle = TableView::All(f.materialized, nullptr);
+    std::vector<size_t> strided;
+    for (size_t i = 0; i < f.view.num_rows(); i += 3) {
+      strided.push_back(i);
+    }
+    const std::vector<const std::vector<size_t>*> tuple_sets = {
+        &f.all_tuples, &strided};
+    for (const std::vector<size_t>* tuples : tuple_sets) {
+      const std::string tag =
+          std::string(projected ? " (projected" : " (all columns") +
+          (tuples == &strided ? ", strided)" : ")");
+      for (const std::string attr :
+           {"neighborhood", "price", "bedroomcount", "yearbuilt"}) {
+        const std::string context = attr + tag;
+        // The categorical partitioners group any column type, which
+        // covers the string, int64 and double grouping paths.
+        {
+          AUTOCAT_ASSERT_OK_AND_MOVE(
+              auto want, PartitionCategorical(oracle, *tuples, attr, stats));
+          AUTOCAT_ASSERT_OK_AND_MOVE(
+              auto got, PartitionCategorical(f.view, *tuples, attr, stats));
+          ExpectPartitionsIdentical(want, got,
+                                    "PartitionCategorical " + context);
 
-    for (const std::string attr : {"neighborhood", "price"}) {
-      const bool numeric = attr == "price";
-      if (numeric) {
+          AUTOCAT_ASSERT_OK_AND_MOVE(
+              auto want_sum,
+              SummarizePartitionCategorical(oracle, *tuples, attr, stats));
+          AUTOCAT_ASSERT_OK_AND_MOVE(
+              auto got_sum,
+              SummarizePartitionCategorical(f.view, *tuples, attr, stats));
+          ExpectSummariesIdentical(want_sum, got_sum,
+                                   "SummarizePartitionCategorical " +
+                                       context);
+
+          // Same seed on both sides: the shuffle order must match too.
+          Random rng_oracle(7);
+          Random rng_typed(7);
+          AUTOCAT_ASSERT_OK_AND_MOVE(
+              auto want_arb, PartitionCategoricalArbitrary(
+                                 oracle, *tuples, attr, &rng_oracle));
+          AUTOCAT_ASSERT_OK_AND_MOVE(
+              auto got_arb, PartitionCategoricalArbitrary(
+                                f.view, *tuples, attr, &rng_typed));
+          ExpectPartitionsIdentical(want_arb, got_arb,
+                                    "PartitionCategoricalArbitrary " +
+                                        context);
+        }
+        if (f.view.schema()
+                .column(f.view.schema().ColumnIndex(attr).value())
+                .kind != ColumnKind::kNumeric) {
+          continue;
+        }
         NumericPartitionOptions options;
         AUTOCAT_ASSERT_OK_AND_MOVE(
-            auto from_table,
-            PartitionNumeric(f.materialized, f.all_tuples, attr, stats,
-                             options, nullptr));
+            auto want, PartitionNumeric(oracle, *tuples, attr, stats,
+                                        options, nullptr));
         AUTOCAT_ASSERT_OK_AND_MOVE(
-            auto from_view,
-            PartitionNumeric(f.view, f.all_tuples, attr, stats, options,
-                             nullptr));
-        ExpectPartitionsIdentical(from_table, from_view,
-                                  "PartitionNumeric " + attr + tag);
+            auto got, PartitionNumeric(f.view, *tuples, attr, stats,
+                                       options, nullptr));
+        ExpectPartitionsIdentical(want, got, "PartitionNumeric " + context);
 
         AUTOCAT_ASSERT_OK_AND_MOVE(
-            auto ew_table,
-            PartitionNumericEquiWidth(f.materialized, f.all_tuples, attr,
-                                      25000, nullptr));
+            auto want_sum, SummarizePartitionNumeric(oracle, *tuples, attr,
+                                                     stats, options,
+                                                     nullptr));
         AUTOCAT_ASSERT_OK_AND_MOVE(
-            auto ew_view,
-            PartitionNumericEquiWidth(f.view, f.all_tuples, attr, 25000,
-                                      nullptr));
-        ExpectPartitionsIdentical(ew_table, ew_view,
-                                  "PartitionNumericEquiWidth " + attr +
-                                      tag);
-      } else {
-        AUTOCAT_ASSERT_OK_AND_MOVE(
-            auto from_table,
-            PartitionCategorical(f.materialized, f.all_tuples, attr,
-                                 stats));
-        AUTOCAT_ASSERT_OK_AND_MOVE(
-            auto from_view,
-            PartitionCategorical(f.view, f.all_tuples, attr, stats));
-        ExpectPartitionsIdentical(from_table, from_view,
-                                  "PartitionCategorical " + attr + tag);
+            auto got_sum, SummarizePartitionNumeric(f.view, *tuples, attr,
+                                                    stats, options,
+                                                    nullptr));
+        ExpectSummariesIdentical(want_sum, got_sum,
+                                 "SummarizePartitionNumeric " + context);
 
-        // Same seed on both sides: the shuffle order must match too.
-        Random rng_table(7);
-        Random rng_view(7);
         AUTOCAT_ASSERT_OK_AND_MOVE(
-            auto arb_table,
-            PartitionCategoricalArbitrary(f.materialized, f.all_tuples,
-                                          attr, &rng_table));
+            auto want_ew, PartitionNumericEquiWidth(oracle, *tuples, attr,
+                                                    25000, nullptr));
         AUTOCAT_ASSERT_OK_AND_MOVE(
-            auto arb_view,
-            PartitionCategoricalArbitrary(f.view, f.all_tuples, attr,
-                                          &rng_view));
-        ExpectPartitionsIdentical(arb_table, arb_view,
-                                  "PartitionCategoricalArbitrary " + attr +
-                                      tag);
+            auto got_ew, PartitionNumericEquiWidth(f.view, *tuples, attr,
+                                                   25000, nullptr));
+        ExpectPartitionsIdentical(want_ew, got_ew,
+                                  "PartitionNumericEquiWidth " + context);
       }
     }
   }
 }
 
-TEST(ColumnarEquivalenceTest, RankingViewVsTable) {
-  const WorkloadStats stats = FuzzStats();
-  const ViewFixture f(false);
-  const std::vector<std::string> attributes = {"neighborhood", "price",
-                                               "bedroomcount"};
-  AUTOCAT_ASSERT_OK_AND_MOVE(
-      std::vector<size_t> from_table,
-      RankTuples(f.materialized, f.all_tuples, attributes, stats));
-  AUTOCAT_ASSERT_OK_AND_MOVE(
-      std::vector<size_t> from_view,
-      RankTuples(f.view, f.all_tuples, attributes, stats));
-  EXPECT_EQ(from_table, from_view);
-  for (size_t r = 0; r < f.view.num_rows(); r += 13) {
-    AUTOCAT_ASSERT_OK_AND_MOVE(
-        const double score_table,
-        TupleScore(f.materialized, r, attributes, stats));
-    AUTOCAT_ASSERT_OK_AND_MOVE(const double score_view,
-                               TupleScore(f.view, r, attributes, stats));
-    EXPECT_EQ(score_table, score_view) << "row " << r;
+void ExpectTreesIdentical(const CategoryTree& a, const CategoryTree& b,
+                          const std::string& context) {
+  EXPECT_EQ(a.level_attributes(), b.level_attributes()) << context;
+  ASSERT_EQ(a.num_nodes(), b.num_nodes()) << context;
+  for (size_t id = 0; id < a.num_nodes(); ++id) {
+    const CategoryNode& x = a.node(static_cast<NodeId>(id));
+    const CategoryNode& y = b.node(static_cast<NodeId>(id));
+    EXPECT_EQ(x.parent, y.parent) << context << " node " << id;
+    EXPECT_EQ(x.children, y.children) << context << " node " << id;
+    EXPECT_EQ(x.tuples, y.tuples) << context << " node " << id;
+    EXPECT_EQ(x.label.ToString(), y.label.ToString())
+        << context << " node " << id;
   }
 }
 
+// All three techniques: the Table entry point (a shadowless view of the
+// materialized result) against the shadowed view over the same rows.
 TEST(ColumnarEquivalenceTest, CostBasedCategorizerViewVsTable) {
   const WorkloadStats stats = FuzzStats();
   const ViewFixture f(false);
@@ -482,36 +490,34 @@ TEST(ColumnarEquivalenceTest, CostBasedCategorizerViewVsTable) {
   options.candidate_attributes = {"neighborhood", "propertytype", "price",
                                   "bedroomcount"};
   options.attribute_usage_threshold = 0.0;
-  const CostBasedCategorizer categorizer(&stats, options);
+  const CostBasedCategorizer cost_based(&stats, options);
+  const AttrCostCategorizer attr_cost(&stats, options);
+  const NoCostCategorizer no_cost(&stats, options);
 
   auto query = ParseQuery("SELECT * FROM homes WHERE price <= 900000");
   ASSERT_TRUE(query.ok());
   auto profile = SelectionProfile::FromQuery(query.value(), FuzzSchema());
   ASSERT_TRUE(profile.ok());
 
-  AUTOCAT_ASSERT_OK_AND_MOVE(
-      const CategoryTree from_table,
-      categorizer.Categorize(f.materialized, &profile.value()));
-  AUTOCAT_ASSERT_OK_AND_MOVE(
-      const CategoryTree from_view,
-      categorizer.Categorize(f.view, f.materialized, &profile.value()));
-
-  EXPECT_EQ(from_table.level_attributes(), from_view.level_attributes());
-  ASSERT_EQ(from_table.num_nodes(), from_view.num_nodes());
-  for (size_t id = 0; id < from_table.num_nodes(); ++id) {
-    const CategoryNode& a = from_table.node(static_cast<NodeId>(id));
-    const CategoryNode& b = from_view.node(static_cast<NodeId>(id));
-    EXPECT_EQ(a.parent, b.parent) << "node " << id;
-    EXPECT_EQ(a.children, b.children) << "node " << id;
-    EXPECT_EQ(a.tuples, b.tuples) << "node " << id;
-    EXPECT_EQ(a.label.ToString(), b.label.ToString()) << "node " << id;
-  }
-
-  // A mismatched view is rejected rather than silently miscombined.
   const ViewFixture other(true);
-  EXPECT_FALSE(
-      categorizer.Categorize(other.view, f.materialized, &profile.value())
-          .ok());
+  for (const Categorizer* categorizer :
+       std::vector<const Categorizer*>{&cost_based, &attr_cost, &no_cost}) {
+    AUTOCAT_ASSERT_OK_AND_MOVE(
+        const CategoryTree from_table,
+        categorizer->Categorize(f.materialized, &profile.value()));
+    AUTOCAT_ASSERT_OK_AND_MOVE(
+        const CategoryTree from_view,
+        categorizer->Categorize(f.view, f.materialized, &profile.value()));
+    EXPECT_GT(from_table.num_nodes(), 1u) << categorizer->name();
+    ExpectTreesIdentical(from_table, from_view, categorizer->name());
+
+    // A mismatched view is rejected rather than silently miscombined.
+    EXPECT_FALSE(categorizer
+                     ->Categorize(other.view, f.materialized,
+                                  &profile.value())
+                     .ok())
+        << categorizer->name();
+  }
 }
 
 }  // namespace

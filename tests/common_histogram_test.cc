@@ -80,6 +80,23 @@ TEST(HistogramTest, OverflowPercentileReportsObservedMax) {
   EXPECT_DOUBLE_EQ(h.PercentileEstimate(99), 500.0);
 }
 
+TEST(HistogramTest, PercentilesStayInsideTheObservedRange) {
+  // One sample in a wide exponential bucket: interpolating inside the
+  // bucket would report 491.5 / 652.1.
+  Histogram single = Histogram::LatencyMs();
+  single.Add(341.6);
+  EXPECT_DOUBLE_EQ(single.PercentileEstimate(50), 341.6);
+  EXPECT_DOUBLE_EQ(single.PercentileEstimate(99), 341.6);
+
+  Histogram pair = Histogram::LatencyMs();
+  pair.Add(3.0);
+  pair.Add(3.2);
+  for (const double p : {0.0, 1.0, 50.0, 90.0, 99.0, 100.0}) {
+    EXPECT_GE(pair.PercentileEstimate(p), 3.0) << "p" << p;
+    EXPECT_LE(pair.PercentileEstimate(p), 3.2) << "p" << p;
+  }
+}
+
 TEST(HistogramTest, ToJsonIsDeterministic) {
   Histogram a({1.0, 2.0});
   Histogram b({1.0, 2.0});

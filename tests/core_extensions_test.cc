@@ -24,6 +24,7 @@ namespace autocat {
 namespace {
 
 using test::HomesTable;
+using test::ViewOf;
 
 // A correlated workload: users who want neighborhood 'a' search cheap
 // (price <= 3000); users who want 'b' search expensive (price >= 6000).
@@ -420,7 +421,7 @@ TEST(AutoBucketsTest, GoodnessFloorLimitsSplitPoints) {
   with_floor.auto_buckets = true;
   with_floor.goodness_fraction = 0.3;
   const auto narrow =
-      PartitionNumeric(table, all, "price", stats, with_floor, nullptr);
+      PartitionNumeric(ViewOf(table), all, "price", stats, with_floor, nullptr);
   ASSERT_TRUE(narrow.ok());
   EXPECT_EQ(narrow->size(), 2u);  // single split at 5000
 
@@ -428,7 +429,7 @@ TEST(AutoBucketsTest, GoodnessFloorLimitsSplitPoints) {
   no_floor.auto_buckets = true;
   no_floor.goodness_fraction = 0.0;
   const auto wide =
-      PartitionNumeric(table, all, "price", stats, no_floor, nullptr);
+      PartitionNumeric(ViewOf(table), all, "price", stats, no_floor, nullptr);
   ASSERT_TRUE(wide.ok());
   EXPECT_EQ(wide->size(), 3u);  // splits at 5000 and 2000
 }

@@ -392,29 +392,6 @@ TEST(PipelineEquivalenceTest, StatsAttributesRestrictIndexEntries) {
   }
 }
 
-TEST(PipelineEquivalenceTest, BuildAttrIndexOffSkipsTheStatsSink) {
-  const Table table = MakeHomes(1000, 505, 0.05, false);
-  Database db;
-  ASSERT_TRUE(db.RegisterTable("homes", Table(table)).ok());
-  AUTOCAT_ASSERT_OK_AND_MOVE(std::shared_ptr<const ColumnarTable> shadow,
-                             db.ColumnarFor("homes"));
-  std::optional<CompiledPredicate> compiled;
-  std::vector<std::string> columns;
-  CompileOrSkip("SELECT * FROM homes WHERE bedroomcount >= 2",
-                table.schema(), shadow, &compiled, &columns);
-  ASSERT_TRUE(compiled.has_value());
-
-  ColdPipelineOptions options;
-  options.build_attr_index = false;
-  AUTOCAT_ASSERT_OK_AND_MOVE(
-      ColdPipelineResult piped,
-      RunColdPipeline(compiled.value(), table, shadow.get(), columns,
-                      options));
-  EXPECT_GT(piped.result.num_rows(), 0u);
-  EXPECT_TRUE(piped.attr_index.columns.empty());
-  EXPECT_EQ(piped.attr_index.num_rows, 0u);
-}
-
 TEST(PipelineEquivalenceTest, EmptyTableAndUnknownProjectionColumn) {
   const Table table = MakeHomes(0, 606, 0.0, false);
   Database db;

@@ -158,6 +158,47 @@ TEST(ServiceTest, PutTableInvalidatesCachedEntries) {
   EXPECT_GE(service->SnapshotMetrics().cache.epoch, 1u);
 }
 
+TEST(ServiceTest, PutTableKeepsStatsUnlessTheSchemaChanges) {
+  auto service = MakeService();
+  ServeRequest request;
+  request.sql = "SELECT * FROM Homes WHERE price <= 300000";
+  const auto stats_builds = [&service] {
+    return service->SnapshotMetrics()
+        .operator_ms[static_cast<size_t>(ServeOperator::kStatsBuild)]
+        .count();
+  };
+  ASSERT_TRUE(service->Handle(request).ok());
+  EXPECT_EQ(stats_builds(), 1u);
+
+  // Same schema: the stats depend only on the workload and the schema.
+  service->PutTable("Homes", HomesTable(80));
+  auto same = service->Handle(request);
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  EXPECT_FALSE(same->cache_hit);
+  EXPECT_EQ(stats_builds(), 1u);
+
+  // A changed schema (one more column) rebuilds them.
+  auto wider = Schema::Create({
+      ColumnDef("neighborhood", ValueType::kString,
+                ColumnKind::kCategorical),
+      ColumnDef("price", ValueType::kInt64, ColumnKind::kNumeric),
+      ColumnDef("bedroomcount", ValueType::kInt64, ColumnKind::kNumeric),
+      ColumnDef("bathcount", ValueType::kInt64, ColumnKind::kNumeric),
+  });
+  ASSERT_TRUE(wider.ok());
+  Table table(std::move(wider).value());
+  for (int64_t i = 0; i < 30; ++i) {
+    ASSERT_TRUE(table
+                    .AppendRow({Value("Redmond"), Value(150000 + 5000 * i),
+                                Value(1 + i % 4), Value(1 + i % 3)})
+                    .ok());
+  }
+  service->PutTable("Homes", std::move(table));
+  auto changed = service->Handle(request);
+  ASSERT_TRUE(changed.ok()) << changed.status().ToString();
+  EXPECT_EQ(stats_builds(), 2u);
+}
+
 TEST(ServiceTest, RebuildWorkloadInvalidatesCachedEntries) {
   auto service = MakeService();
   ServeRequest request;

@@ -2,9 +2,10 @@
 // mapped segment store must behave bit-identically to its in-memory twin
 // — same result cells (doubles by bit pattern), same row order, same
 // error Statuses — through every execution path: the row-at-a-time
-// interpreter, the columnar kernels at threads 1 and 7, and a cold
-// CategorizationService request. Replays the checked-in SQL fuzz corpus
-// plus randomized queries over a table seeded with hostile cells.
+// interpreter, the columnar kernels at threads 1 and 7, every partitioner,
+// categorizer and the leaf ranking, and a cold CategorizationService
+// request. Replays the checked-in SQL fuzz corpus plus randomized queries
+// over a table seeded with hostile cells.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -19,12 +20,20 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/categorizer.h"
+#include "core/enumerate.h"
+#include "core/partition.h"
+#include "core/ranking.h"
 #include "exec/executor.h"
 #include "serve/service.h"
+#include "sql/parser.h"
+#include "sql/selection.h"
 #include "storage/table.h"
 #include "store/store.h"
 #include "store/writer.h"
 #include "workload/workload.h"
+
+#include "equivalence_fixture.h"
 
 namespace autocat {
 namespace {
@@ -144,6 +153,41 @@ void ExpectTablesBitIdentical(const Table& expected, const Table& got,
           << expected.CellValue(r, c).ToString() << " vs "
           << got.CellValue(r, c).ToString();
     }
+  }
+}
+
+void ExpectTreesIdentical(const CategoryTree& a, const CategoryTree& b,
+                          const std::string& context) {
+  ASSERT_EQ(a.num_nodes(), b.num_nodes()) << context;
+  EXPECT_EQ(a.level_attributes(), b.level_attributes()) << context;
+  for (size_t id = 0; id < a.num_nodes(); ++id) {
+    const CategoryNode& na = a.node(static_cast<NodeId>(id));
+    const CategoryNode& nb = b.node(static_cast<NodeId>(id));
+    EXPECT_EQ(na.parent, nb.parent) << context << " node " << id;
+    EXPECT_EQ(na.children, nb.children) << context << " node " << id;
+    EXPECT_EQ(na.tuples, nb.tuples) << context << " node " << id;
+    EXPECT_EQ(na.label.ToString(), nb.label.ToString())
+        << context << " node " << id;
+  }
+}
+
+void ExpectPartitionsIdentical(const std::vector<PartitionCategory>& a,
+                               const std::vector<PartitionCategory>& b,
+                               const std::string& context) {
+  ASSERT_EQ(a.size(), b.size()) << context;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].label.ToString(), b[i].label.ToString()) << context;
+    EXPECT_EQ(a[i].tuples, b[i].tuples) << context << " category " << i;
+  }
+}
+
+void ExpectSummariesIdentical(const std::vector<PartitionSummary>& a,
+                              const std::vector<PartitionSummary>& b,
+                              const std::string& context) {
+  ASSERT_EQ(a.size(), b.size()) << context;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].label.ToString(), b[i].label.ToString()) << context;
+    EXPECT_EQ(a[i].size, b[i].size) << context << " category " << i;
   }
 }
 
@@ -376,6 +420,155 @@ TEST(StoreEquivalenceTest, TableOperatorsStoreVsMemory) {
   EXPECT_FALSE(mutable_mapped.AppendRow(mem.CopyRow(0)).ok());
 }
 
+// Offline categorization of a store-opened (column-backed) table: every
+// partitioner, all three categorizers, the enumerative optimizers and the
+// leaf ranking read its cells through a view (or Table::CellValue) and
+// must build exactly the partitions and trees they build over the same
+// rows held in a row-backed table.
+TEST(StoreEquivalenceTest, CategorizeStoreOpenedTableVsMemory) {
+  const StoreEquivalenceFixture f(500, 505, 0.05, false, "categorize");
+  const Table& mem = **f.mem_db().GetTable("homes");
+  const Table& mapped = **f.store_db().GetTable("homes");
+  ASSERT_TRUE(mem.has_rows());
+  ASSERT_FALSE(mapped.has_rows());
+
+  const Schema schema = FuzzSchema();
+  const std::vector<std::string> sqls = {
+      "SELECT * FROM homes WHERE price BETWEEN 100000 AND 200000",
+      "SELECT * FROM homes WHERE price <= 300000 AND neighborhood IN "
+      "('Redmond', 'Bellevue')",
+      "SELECT * FROM homes WHERE bedroomcount >= 3",
+      "SELECT * FROM homes WHERE propertytype = 'Condo' AND price <= "
+      "250000",
+      "SELECT * FROM homes WHERE neighborhood = 'Seattle' AND "
+      "bedroomcount BETWEEN 2 AND 4",
+  };
+  const Workload workload = Workload::Parse(sqls, schema, nullptr);
+  ASSERT_EQ(workload.size(), sqls.size());
+  WorkloadStatsOptions stats_options;
+  stats_options.split_intervals = {{"price", 5000},
+                                   {"squarefootage", 100},
+                                   {"yearbuilt", 5},
+                                   {"bedroomcount", 1},
+                                   {"bathcount", 1}};
+  AUTOCAT_ASSERT_OK_AND_MOVE(
+      const WorkloadStats stats,
+      WorkloadStats::Build(workload, schema, stats_options));
+
+  // Every partitioner: the shadowless view of the mapped table (cells
+  // synthesized from the columns) and its shadowed view (typed arrays)
+  // against the shadowless view of the row table.
+  const TableView mem_view = TableView::All(mem, nullptr);
+  const TableView mapped_views[] = {
+      TableView::All(mapped, nullptr),
+      TableView::All(mapped, mapped.columnar_backing())};
+  std::vector<size_t> all(mem.num_rows());
+  for (size_t i = 0; i < all.size(); ++i) {
+    all[i] = i;
+  }
+  const NumericPartitionOptions numeric;
+  for (const TableView& view : mapped_views) {
+    const std::string tag =
+        view.columnar() == nullptr ? " (shadowless)" : " (shadowed)";
+    for (const std::string attr : {"neighborhood", "propertytype"}) {
+      AUTOCAT_ASSERT_OK_AND_MOVE(
+          auto want, PartitionCategorical(mem_view, all, attr, stats));
+      AUTOCAT_ASSERT_OK_AND_MOVE(
+          auto got, PartitionCategorical(view, all, attr, stats));
+      ExpectPartitionsIdentical(want, got, "categorical " + attr + tag);
+      AUTOCAT_ASSERT_OK_AND_MOVE(
+          auto want_sum,
+          SummarizePartitionCategorical(mem_view, all, attr, stats));
+      AUTOCAT_ASSERT_OK_AND_MOVE(
+          auto got_sum,
+          SummarizePartitionCategorical(view, all, attr, stats));
+      ExpectSummariesIdentical(want_sum, got_sum,
+                               "categorical summary " + attr + tag);
+      Random rng_mem(11);
+      Random rng_mapped(11);
+      AUTOCAT_ASSERT_OK_AND_MOVE(
+          auto want_arb,
+          PartitionCategoricalArbitrary(mem_view, all, attr, &rng_mem));
+      AUTOCAT_ASSERT_OK_AND_MOVE(
+          auto got_arb,
+          PartitionCategoricalArbitrary(view, all, attr, &rng_mapped));
+      ExpectPartitionsIdentical(want_arb, got_arb, "arbitrary " + attr + tag);
+    }
+    for (const std::string attr : {"price", "bedroomcount"}) {
+      AUTOCAT_ASSERT_OK_AND_MOVE(
+          auto want,
+          PartitionNumeric(mem_view, all, attr, stats, numeric, nullptr));
+      AUTOCAT_ASSERT_OK_AND_MOVE(
+          auto got,
+          PartitionNumeric(view, all, attr, stats, numeric, nullptr));
+      ExpectPartitionsIdentical(want, got, "numeric " + attr + tag);
+      AUTOCAT_ASSERT_OK_AND_MOVE(
+          auto want_sum, SummarizePartitionNumeric(mem_view, all, attr,
+                                                   stats, numeric, nullptr));
+      AUTOCAT_ASSERT_OK_AND_MOVE(
+          auto got_sum, SummarizePartitionNumeric(view, all, attr, stats,
+                                                  numeric, nullptr));
+      ExpectSummariesIdentical(want_sum, got_sum,
+                               "numeric summary " + attr + tag);
+      AUTOCAT_ASSERT_OK_AND_MOVE(
+          auto want_ew,
+          PartitionNumericEquiWidth(mem_view, all, attr, 50000, nullptr));
+      AUTOCAT_ASSERT_OK_AND_MOVE(
+          auto got_ew,
+          PartitionNumericEquiWidth(view, all, attr, 50000, nullptr));
+      ExpectPartitionsIdentical(want_ew, got_ew, "equi-width " + attr + tag);
+    }
+  }
+
+  // All three categorizers through the Table entry point, then the leaf
+  // ranking over each tree.
+  AUTOCAT_ASSERT_OK_AND_MOVE(
+      const SelectQuery query,
+      ParseQuery("SELECT * FROM homes WHERE price <= 800000"));
+  AUTOCAT_ASSERT_OK_AND_MOVE(const SelectionProfile profile,
+                             SelectionProfile::FromQuery(query, schema));
+  CategorizerOptions options;
+  options.candidate_attributes = {"neighborhood", "propertytype", "price",
+                                  "bedroomcount"};
+  options.attribute_usage_threshold = 0.0;
+  const CostBasedCategorizer cost_based(&stats, options);
+  const AttrCostCategorizer attr_cost(&stats, options);
+  const NoCostCategorizer no_cost(&stats, options);
+  for (const Categorizer* categorizer :
+       std::vector<const Categorizer*>{&cost_based, &attr_cost, &no_cost}) {
+    AUTOCAT_ASSERT_OK_AND_MOVE(CategoryTree want,
+                               categorizer->Categorize(mem, &profile));
+    AUTOCAT_ASSERT_OK_AND_MOVE(CategoryTree got,
+                               categorizer->Categorize(mapped, &profile));
+    EXPECT_GT(want.num_nodes(), 1u) << categorizer->name();
+    ExpectTreesIdentical(want, got, categorizer->name());
+
+    ASSERT_TRUE(ApplyLeafRanking(want, {}, stats).ok());
+    ASSERT_TRUE(ApplyLeafRanking(got, {}, stats).ok());
+    ExpectTreesIdentical(want, got, categorizer->name() + " ranked");
+  }
+
+  // The enumerative optimizers (categorical groups and numeric buckets).
+  const std::vector<std::string> candidates = {"neighborhood",
+                                               "bedroomcount"};
+  AUTOCAT_ASSERT_OK_AND_MOVE(
+      const EnumerationResult want_one,
+      EnumerateBestOneLevel(mem, candidates, &stats, options, &profile));
+  AUTOCAT_ASSERT_OK_AND_MOVE(
+      const EnumerationResult got_one,
+      EnumerateBestOneLevel(mapped, candidates, &stats, options, &profile));
+  ExpectTreesIdentical(want_one.tree, got_one.tree, "one-level");
+  AUTOCAT_ASSERT_OK_AND_MOVE(
+      const EnumerationResult want_order,
+      EnumerateBestAttributeOrder(mem, candidates, &stats, options,
+                                  &profile));
+  AUTOCAT_ASSERT_OK_AND_MOVE(
+      const EnumerationResult got_order,
+      EnumerateBestAttributeOrder(mapped, candidates, &stats, options,
+                                  &profile));
+  ExpectTreesIdentical(want_order.tree, got_order.tree, "attribute order");
+}
+
 // Cold-serve equivalence: two services over the same workload — one with
 // the in-memory table, one with the mapped store — must produce
 // bit-identical result tables and category trees for cache-miss
@@ -434,18 +627,7 @@ TEST(StoreEquivalenceTest, ColdServeStoreVsMemory) {
     const CachedCategorization& a = *mem_r.value().payload;
     const CachedCategorization& b = *store_r.value().payload;
     ExpectTablesBitIdentical(a.result(), b.result(), "serve: " + sql);
-    ASSERT_EQ(a.tree().num_nodes(), b.tree().num_nodes()) << sql;
-    EXPECT_EQ(a.tree().level_attributes(), b.tree().level_attributes())
-        << sql;
-    for (size_t id = 0; id < a.tree().num_nodes(); ++id) {
-      const CategoryNode& na = a.tree().node(static_cast<NodeId>(id));
-      const CategoryNode& nb = b.tree().node(static_cast<NodeId>(id));
-      EXPECT_EQ(na.parent, nb.parent) << sql << " node " << id;
-      EXPECT_EQ(na.children, nb.children) << sql << " node " << id;
-      EXPECT_EQ(na.tuples, nb.tuples) << sql << " node " << id;
-      EXPECT_EQ(na.label.ToString(), nb.label.ToString())
-          << sql << " node " << id;
-    }
+    ExpectTreesIdentical(a.tree(), b.tree(), sql);
   }
 }
 

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "storage/columnar.h"
 #include "storage/table.h"
 #include "workload/counts.h"
 #include "workload/workload.h"
@@ -52,6 +53,12 @@ inline WorkloadStatsOptions StatsOptions(double price_interval = 1000) {
   options.split_intervals = {{"price", price_interval},
                              {"bedroomcount", 1}};
   return options;
+}
+
+/// A shadowless view of every row and column of `table`: what the
+/// partitioners read when no columnar shadow exists.
+inline TableView ViewOf(const Table& table) {
+  return TableView::All(table, nullptr);
 }
 
 /// Builds count stores from inline SQL (each string a full SELECT).

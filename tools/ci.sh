@@ -62,6 +62,10 @@
 #   --analyze
 #            run only the static-analysis leg — the targeted gate for
 #            concurrency-discipline work (DESIGN.md section 11)
+#
+# A gate that skips (a ctest that exits 77, or an analyze stage whose
+# toolchain is missing) is not a pass: every leg records its skips and
+# the final line names them.
 
 set -euo pipefail
 
@@ -93,6 +97,33 @@ elif [[ "${1:-}" == "--analyze" ]]; then
   ANALYZE=1
 fi
 
+# Gates that skipped instead of running, as "[leg] gate" entries.
+SKIPPED=()
+
+# Runs ctest in build dir $2 for leg $1 (extra arguments go to ctest) and
+# records every test ctest reports as skipped.
+run_ctest() {
+  local name="$1" dir="$2"
+  shift 2
+  local log="$ROOT/$dir/ci-ctest.log"
+  (cd "$ROOT/$dir" && ctest --output-on-failure -j "$JOBS" "$@") | tee "$log"
+  local gate
+  while IFS= read -r gate; do
+    SKIPPED+=("[$name] $gate")
+  done < <(sed -n 's/^[[:space:]]*[0-9]* - \(.*\) (Skipped)$/\1/p' "$log")
+}
+
+# Prints the closing line for the run named $1, naming every skipped gate.
+finish() {
+  if [[ "${#SKIPPED[@]}" == "0" ]]; then
+    echo "==== $1 passed ===="
+    return
+  fi
+  local joined
+  joined="$(printf '%s, ' "${SKIPPED[@]}")"
+  echo "==== $1 passed, but ${#SKIPPED[@]} gate(s) skipped: ${joined%, } ===="
+}
+
 # Every serving-layer test suite, plus the histogram the metrics build on.
 SERVE_FILTER='^(ServiceTest|SignatureTest|SignatureCacheTest|CachedCategorizationTest|AdmissionTest|ServiceMetricsTest|HistogramTest)\.'
 
@@ -105,8 +136,7 @@ serve_leg() {
   cmake --build "$ROOT/$dir" -j "$JOBS" \
     --target autocat_serve_tests autocat_common_tests
   echo "==== [serve/$name] ctest ===="
-  (cd "$ROOT/$dir" && ctest --output-on-failure -j "$JOBS" \
-    -R "$SERVE_FILTER")
+  run_ctest "serve/$name" "$dir" -R "$SERVE_FILTER"
 }
 
 # The pipeline/coalescing gate: the push-based cold path's
@@ -124,8 +154,7 @@ pipeline_leg() {
   cmake --build "$ROOT/$dir" -j "$JOBS" \
     --target autocat_columnar_tests autocat_serve_tests bench_pipeline
   echo "==== [pipeline/$name] ctest ===="
-  (cd "$ROOT/$dir" && ctest --output-on-failure -j "$JOBS" \
-    -R "$PIPELINE_FILTER")
+  run_ctest "pipeline/$name" "$dir" -R "$PIPELINE_FILTER"
   echo "==== [pipeline/$name] bench_pipeline --smoke ===="
   "$ROOT/$dir/bench/bench_pipeline" --smoke --benchmark_min_time=0.01
 }
@@ -147,8 +176,7 @@ workload_leg() {
              autocat_parallel_tests autocat_serve_tests \
              bench_workload_scenarios
   echo "==== [workload/$name] ctest ===="
-  (cd "$ROOT/$dir" && ctest --output-on-failure -j "$JOBS" \
-    -R "$WORKLOAD_FILTER")
+  run_ctest "workload/$name" "$dir" -R "$WORKLOAD_FILTER"
   echo "==== [workload/$name] bench_workload_scenarios --smoke ===="
   "$ROOT/$dir/bench/bench_workload_scenarios" --smoke \
     --benchmark_min_time=0.01
@@ -169,8 +197,7 @@ store_leg() {
     --target autocat_store_tests autocat_tooling_tests \
              autocat_store_fuzz_replay
   echo "==== [store/$name] ctest ===="
-  (cd "$ROOT/$dir" && ctest --output-on-failure -j "$JOBS" \
-    -R "$STORE_FILTER")
+  run_ctest "store/$name" "$dir" -R "$STORE_FILTER"
 }
 
 # The zone-map + SIMD kernel gate: zone metadata construction, the zone
@@ -189,8 +216,7 @@ kernels_leg() {
   cmake --build "$ROOT/$dir" -j "$JOBS" \
     --target autocat_kernel_tests autocat_store_tests bench_exec_filter
   echo "==== [kernels/$name] ctest ===="
-  (cd "$ROOT/$dir" && ctest --output-on-failure -j "$JOBS" \
-    -R "$KERNELS_FILTER")
+  run_ctest "kernels/$name" "$dir" -R "$KERNELS_FILTER"
   echo "==== [kernels/$name] bench_exec_filter --smoke ===="
   "$ROOT/$dir/bench/bench_exec_filter" --smoke --benchmark_min_time=0.01
 }
@@ -228,6 +254,7 @@ analyze_leg() {
     local rc=$?
     if [[ "$rc" == "77" ]]; then
       echo "thread-safety: clang++ not installed, skipped"
+      SKIPPED+=("[analyze] thread-safety (clang++ not installed)")
     else
       echo "thread-safety: FAILED (exit $rc)" >&2
       exit "$rc"
@@ -244,6 +271,7 @@ analyze_leg() {
     local rc=$?
     if [[ "$rc" == "77" ]]; then
       echo "clang-tidy: not installed, skipped"
+      SKIPPED+=("[analyze] clang-tidy (not installed)")
     else
       echo "clang-tidy: FAILED (exit $rc)" >&2
       exit "$rc"
@@ -253,7 +281,7 @@ analyze_leg() {
 
 if [[ "$ANALYZE" == "1" ]]; then
   analyze_leg
-  echo "==== analyze leg passed ===="
+  finish "analyze leg"
   exit 0
 fi
 
@@ -262,7 +290,7 @@ if [[ "$BENCH_SMOKE" == "1" ]]; then
     -DCMAKE_BUILD_TYPE=Debug -DAUTOCAT_SANITIZE=address
   bench_smoke_leg tsan build-ci-tsan \
     -DCMAKE_BUILD_TYPE=Debug -DAUTOCAT_SANITIZE=thread
-  echo "==== bench-smoke legs passed ===="
+  finish "bench-smoke legs"
   exit 0
 fi
 
@@ -270,7 +298,7 @@ if [[ "$WORKLOAD" == "1" ]]; then
   workload_leg release build-ci-release -DCMAKE_BUILD_TYPE=Release
   workload_leg tsan build-ci-tsan \
     -DCMAKE_BUILD_TYPE=Debug -DAUTOCAT_SANITIZE=thread
-  echo "==== workload legs passed ===="
+  finish "workload legs"
   exit 0
 fi
 
@@ -280,7 +308,7 @@ if [[ "$STORE" == "1" ]]; then
     -DCMAKE_BUILD_TYPE=Debug -DAUTOCAT_SANITIZE=address
   store_leg tsan build-ci-tsan \
     -DCMAKE_BUILD_TYPE=Debug -DAUTOCAT_SANITIZE=thread
-  echo "==== store legs passed ===="
+  finish "store legs"
   exit 0
 fi
 
@@ -290,7 +318,7 @@ if [[ "$KERNELS" == "1" ]]; then
     -DCMAKE_BUILD_TYPE=Debug -DAUTOCAT_SANITIZE=address
   kernels_leg ubsan build-ci-ubsan \
     -DCMAKE_BUILD_TYPE=Debug -DAUTOCAT_SANITIZE=undefined
-  echo "==== kernels legs passed ===="
+  finish "kernels legs"
   exit 0
 fi
 
@@ -299,7 +327,7 @@ if [[ "$SERVE" == "1" ]]; then
     -DCMAKE_BUILD_TYPE=Debug -DAUTOCAT_SANITIZE=address
   serve_leg tsan build-ci-tsan \
     -DCMAKE_BUILD_TYPE=Debug -DAUTOCAT_SANITIZE=thread
-  echo "==== serve legs passed ===="
+  finish "serve legs"
   exit 0
 fi
 
@@ -309,7 +337,7 @@ if [[ "$PIPELINE" == "1" ]]; then
     -DCMAKE_BUILD_TYPE=Debug -DAUTOCAT_SANITIZE=address
   pipeline_leg tsan build-ci-tsan \
     -DCMAKE_BUILD_TYPE=Debug -DAUTOCAT_SANITIZE=thread
-  echo "==== pipeline legs passed ===="
+  finish "pipeline legs"
   exit 0
 fi
 
@@ -321,7 +349,7 @@ run_leg() {
   echo "==== [$name] build ===="
   cmake --build "$ROOT/$dir" -j "$JOBS"
   echo "==== [$name] ctest ===="
-  (cd "$ROOT/$dir" && ctest --output-on-failure -j "$JOBS")
+  run_ctest "$name" "$dir"
 }
 
 run_leg release build-ci-release -DCMAKE_BUILD_TYPE=Release
@@ -361,4 +389,4 @@ fi
 
 analyze_leg
 
-echo "==== CI matrix passed ===="
+finish "CI matrix"
