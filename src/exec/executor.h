@@ -54,8 +54,9 @@ class Database {
   /// building and caching it on first use. The shared_ptr keeps the shadow
   /// alive across a concurrent PutTable, which only drops the cache entry.
   /// Errors: kNotFound for an unknown table; kNotSupported when the table
-  /// has more rows than a uint32_t selection vector can address (callers
-  /// fall back to the row path).
+  /// has more rows than a uint32_t selection vector can address
+  /// (ExecuteQuery falls back to the row path; the serving layer returns
+  /// the error).
   ///
   /// Thread-safe against concurrent ColumnarFor/PutTable on *other*
   /// threads only under the same external synchronization GetTable

@@ -2,11 +2,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <utility>
 
 #include "exec/pipeline/scheduler.h"
 #include "exec/simd_kernels.h"
+#include "storage/columnar.h"
 #include "storage/schema.h"
 
 namespace autocat {
@@ -141,6 +144,32 @@ Result<ColdPipelineResult> RunColdPipeline(
       static_cast<double>(project_ns.load(std::memory_order_relaxed)) / 1e6;
   out.timings.stats_ms =
       static_cast<double>(stats_ns.load(std::memory_order_relaxed)) / 1e6;
+  return out;
+}
+
+Result<ColdPipelineResult> RunRowSelection(
+    const SelectionProfile& profile, const Table& base,
+    const std::vector<std::string>& columns) {
+  if (base.num_rows() > std::numeric_limits<uint32_t>::max()) {
+    return Status::NotSupported("table too large for a uint32 selection");
+  }
+  ColdPipelineResult out;
+  uint64_t t0 = NowNs();
+  const Schema& schema = base.schema();
+  for (const size_t row : base.FilterIndices([&](const Row& cells) {
+         return profile.MatchesRow(cells, schema);
+       })) {
+    out.selection.push_back(static_cast<uint32_t>(row));
+  }
+  const uint64_t t1 = NowNs();
+  AUTOCAT_ASSIGN_OR_RETURN(
+      const TableView view,
+      TableView::Create(base, nullptr, out.selection, columns));
+  out.result = view.Materialize();
+  out.result_bytes = ApproxTableBytes(out.result);
+  out.attr_index.num_rows = out.result.num_rows();
+  out.timings.filter_ms = static_cast<double>(t1 - t0) / 1e6;
+  out.timings.project_ms = static_cast<double>(NowNs() - t1) / 1e6;
   return out;
 }
 

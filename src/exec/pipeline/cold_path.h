@@ -9,6 +9,7 @@
 #include "common/thread_pool.h"
 #include "exec/kernels.h"
 #include "exec/pipeline/operator.h"
+#include "sql/selection.h"
 #include "storage/attr_index.h"
 #include "storage/table.h"
 
@@ -60,8 +61,8 @@ struct ColdPipelineResult {
 /// the per-attribute index come out of a single scan with no inter-stage
 /// barrier or full-selection materialization in between. Sinks key their
 /// partials by morsel index and merge in index order, so every output is
-/// bit-identical to the legacy Filter -> Materialize -> rescan chain at
-/// any thread count.
+/// bit-identical to the Filter -> Materialize -> rescan chain at any
+/// thread count.
 ///
 /// `columns` is the projection (empty = all base columns); errors mirror
 /// `TableView::Create` (unknown projection column).
@@ -70,6 +71,17 @@ Result<ColdPipelineResult> RunColdPipeline(const CompiledPredicate& predicate,
                                            const ColumnarTable* columnar,
                                            const std::vector<std::string>& columns,
                                            const ColdPipelineOptions& options);
+
+/// The cold path's selection for a profile `CompileProfile` refuses
+/// (kNotSupported: an irregular column, or a NaN value-set member): the
+/// row evaluator `SelectionProfile::MatchesRow` picks the rows, in
+/// ascending order, and the result is `TableView::Materialize` over them.
+/// The attribute index has `num_rows` set and no column entries, so the
+/// partitioners rescan. Errors mirror `RunColdPipeline`, plus
+/// kNotSupported for a base too large for a uint32 selection.
+Result<ColdPipelineResult> RunRowSelection(
+    const SelectionProfile& profile, const Table& base,
+    const std::vector<std::string>& columns);
 
 }  // namespace autocat
 

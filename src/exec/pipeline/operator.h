@@ -82,9 +82,9 @@ class SelectionSink final : public MorselSink {
 
 /// Gathers the projected survivor rows into an owned row-backed table —
 /// `TableView::Materialize`, morsel at a time — and accounts the copied
-/// cells' bytes on the way (the cache's ApproxValueBytes measure:
-/// sizeof(Value) plus string capacity of the stored copies), so the serve
-/// layer skips its separate whole-table accounting pass.
+/// cells' bytes on the way (the cache's `ApproxRowBytes` measure over the
+/// stored copies), so the serve layer skips its separate whole-table
+/// accounting pass.
 class ProjectSink final : public MorselSink {
  public:
   void Open(const PipelineInput& input) override;
@@ -93,8 +93,8 @@ class ProjectSink final : public MorselSink {
   Status Finish(const std::vector<size_t>& morsel_offsets) override;
 
   Table& result() { return result_; }
-  /// sizeof(Table) + per-row sizeof(Row) + per-cell ApproxValueBytes of
-  /// `result()` — equal to what serve/cache.cc computes over the table.
+  /// `ApproxTableBytes(result())`, summed row by row as the rows are
+  /// copied.
   size_t result_bytes() const { return result_bytes_; }
 
  private:

@@ -37,28 +37,6 @@ Status SelectionSink::Finish(const std::vector<size_t>& morsel_offsets) {
 
 // ---- ProjectSink -----------------------------------------------------
 
-namespace {
-
-size_t ValueBytes(const Value& v) {
-  // Must match serve/cache.cc's ApproxValueBytes: the cache accounts the
-  // stored copy, and the rows gathered here *are* the stored copies.
-  size_t bytes = sizeof(Value);
-  if (v.is_string()) {
-    bytes += v.string_value().capacity();
-  }
-  return bytes;
-}
-
-size_t RowBytes(const Row& row) {
-  size_t bytes = sizeof(Row);
-  for (const Value& v : row) {
-    bytes += ValueBytes(v);
-  }
-  return bytes;
-}
-
-}  // namespace
-
 void ProjectSink::Open(const PipelineInput& input) {
   input_ = &input;
   shards_.assign(input.num_morsels, {});
@@ -86,7 +64,7 @@ void ProjectSink::Push(const Morsel& morsel, const uint32_t* survivors,
     // Whole-row copies, as Materialize's identity fast path takes them.
     for (size_t k = 0; k < count; ++k) {
       rows.push_back(base.row(survivors[k]));
-      bytes += RowBytes(rows.back());
+      bytes += ApproxRowBytes(rows.back());
     }
   } else if (!base.has_rows()) {
     // Column-backed base: synthesize each projected cell.
@@ -96,7 +74,7 @@ void ProjectSink::Push(const Morsel& morsel, const uint32_t* survivors,
       for (const size_t c : projection) {
         projected.push_back(base.CellValue(survivors[k], c));
       }
-      bytes += RowBytes(projected);
+      bytes += ApproxRowBytes(projected);
       rows.push_back(std::move(projected));
     }
   } else {
@@ -107,7 +85,7 @@ void ProjectSink::Push(const Morsel& morsel, const uint32_t* survivors,
       for (const size_t c : projection) {
         projected.push_back(src[c]);
       }
-      bytes += RowBytes(projected);
+      bytes += ApproxRowBytes(projected);
       rows.push_back(std::move(projected));
     }
   }

@@ -43,6 +43,20 @@ void SimulatedExplorer::Record(ExplorationEvent::Kind kind, NodeId node,
   options_.trace->push_back(event);
 }
 
+namespace {
+
+// Whether the user finds tuple `idx` relevant. A column-backed
+// (store-opened) result has no row vectors, so its row is copied out.
+bool IsRelevant(const SelectionProfile& interest, const Table& table,
+                size_t idx) {
+  if (table.has_rows()) {
+    return interest.MatchesRow(table.row(idx), table.schema());
+  }
+  return interest.MatchesRow(table.CopyRow(idx), table.schema());
+}
+
+}  // namespace
+
 void SimulatedExplorer::ExamineTuples(const CategoryTree& tree, NodeId id,
                                       const SelectionProfile& interest,
                                       ExplorationResult* result) const {
@@ -52,7 +66,7 @@ void SimulatedExplorer::ExamineTuples(const CategoryTree& tree, NodeId id,
     // Figure 2: examine every tuple in tset(C).
     result->tuples_examined += node.tuples.size();
     for (size_t idx : node.tuples) {
-      if (interest.MatchesRow(table.row(idx), table.schema())) {
+      if (IsRelevant(interest, table, idx)) {
         ++result->relevant_found;
       }
     }
@@ -61,7 +75,7 @@ void SimulatedExplorer::ExamineTuples(const CategoryTree& tree, NodeId id,
   // Figure 3: examine from the beginning until the first relevant tuple.
   for (size_t idx : node.tuples) {
     ++result->tuples_examined;
-    if (interest.MatchesRow(table.row(idx), table.schema())) {
+    if (IsRelevant(interest, table, idx)) {
       ++result->relevant_found;
       result->found_any = true;
       return;

@@ -10,31 +10,6 @@ namespace autocat {
 
 namespace {
 
-size_t ApproxValueBytes(const Value& v) {
-  size_t bytes = sizeof(Value);
-  if (v.is_string()) {
-    bytes += v.string_value().capacity();
-  }
-  return bytes;
-}
-
-size_t ApproxTableBytes(const Table& table) {
-  size_t bytes = sizeof(Table);
-  if (!table.has_rows()) {
-    // Column-backed tables are shared views of a mapped store; only the
-    // handle itself is attributable to the cache entry. (In practice only
-    // materialized result tables are cached.)
-    return bytes;
-  }
-  for (const Row& row : table.rows()) {
-    bytes += sizeof(Row);
-    for (const Value& v : row) {
-      bytes += ApproxValueBytes(v);
-    }
-  }
-  return bytes;
-}
-
 size_t ApproxTreeBytes(const CategoryTree& tree) {
   size_t bytes = sizeof(CategoryTree);
   for (size_t id = 0; id < tree.num_nodes(); ++id) {
@@ -56,13 +31,8 @@ Result<std::shared_ptr<const CachedCategorization>> CachedCategorization::
     Build(Table result,
           const std::function<Result<CategoryTree>(const Table&)>&
               build_tree) {
-  std::shared_ptr<CachedCategorization> payload(
-      new CachedCategorization(std::move(result)));
-  AUTOCAT_ASSIGN_OR_RETURN(CategoryTree tree, build_tree(payload->result_));
-  payload->tree_ = std::move(tree);
-  payload->approx_bytes_ =
-      ApproxTableBytes(payload->result_) + ApproxTreeBytes(payload->tree_);
-  return std::shared_ptr<const CachedCategorization>(std::move(payload));
+  const size_t table_bytes = ApproxTableBytes(result);
+  return Build(std::move(result), table_bytes, build_tree);
 }
 
 Result<std::shared_ptr<const CachedCategorization>> CachedCategorization::

@@ -28,17 +28,15 @@ class CachedCategorization {
  public:
   /// Takes ownership of `result`, then runs `build_tree` against the
   /// stored (address-stable) copy. Propagates the builder's error.
-  static Result<std::shared_ptr<const CachedCategorization>> Build(
-      Table result,
-      const std::function<Result<CategoryTree>(const Table&)>& build_tree);
-
-  /// Build with a precomputed table-byte estimate. The pipeline's gather
-  /// sink accounts every row as it copies it (the same per-cell formula
-  /// as the internal scan, over the same stored Values), so the scan over
-  /// the finished table is redundant there. `table_bytes` must equal what
-  /// that scan would report.
+  /// `table_bytes` must equal `ApproxTableBytes(result)`: the cold path
+  /// accounts every row as it copies it, so it need not rescan.
   static Result<std::shared_ptr<const CachedCategorization>> Build(
       Table result, size_t table_bytes,
+      const std::function<Result<CategoryTree>(const Table&)>& build_tree);
+
+  /// Build that computes `ApproxTableBytes(result)` itself.
+  static Result<std::shared_ptr<const CachedCategorization>> Build(
+      Table result,
       const std::function<Result<CategoryTree>(const Table&)>& build_tree);
 
   const Table& result() const { return result_; }

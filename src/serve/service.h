@@ -70,11 +70,9 @@ struct ServiceOptions {
   /// and TTL tests. Null uses the steady clock. Also used by the cache
   /// and admission controller unless their own clocks are set.
   std::function<int64_t()> now_ms;
-  /// Cold requests run the push-based operator pipeline (DESIGN.md §14):
-  /// WHERE-kernel survivors flow morsel-by-morsel into the gather and
-  /// stats-accumulate sinks, and the categorizer reuses the accumulated
-  /// attribute index. Off = the pre-pipeline filter-then-materialize
-  /// path; both produce bit-identical responses.
+  /// Ignored: every cold request runs the one miss path (DESIGN.md §14).
+  /// Kept only because the benchmark's `--variant legacy-chain` still
+  /// assigns it; a later change to the benchmark removes it.
   bool use_pipeline = true;
   /// Coalesce concurrent cold requests with identical canonical
   /// signatures onto one execution (see serve/coalesce.h). Cache-bypass
@@ -109,7 +107,10 @@ class CategorizationService {
   /// lookup -> (on miss) execute + categorize + insert. Failures map to
   /// explicit codes: kOverloaded (queue full), kDeadlineExceeded (budget
   /// spent while queued or before a stage started), kParseError /
-  /// kNotFound / kNotSupported for bad requests. The deadline is checked
+  /// kNotFound / kNotSupported for bad requests. A miss on a table of more
+  /// than 2^32 rows also fails with kNotSupported: the cold path selects
+  /// rows by uint32 index over the table's columnar snapshot, and
+  /// `Database::ColumnarFor` refuses such a table. The deadline is checked
   /// at stage boundaries; a request whose final stage completes is
   /// answered even if the budget ran out during it.
   Result<ServeResponse> Handle(const ServeRequest& request)
@@ -167,8 +168,7 @@ class CategorizationService {
       AUTOCAT_EXCLUDES(state_mu_);
 
   /// One full serve attempt under a single fresh shared-lock section:
-  /// canonicalize, probe the cache, execute the cold path (pipelined or
-  /// legacy), and insert. `need_stats` asks the caller to build the
+  /// canonicalize, probe the cache, execute the cold path, and insert. `need_stats` asks the caller to build the
   /// per-table WorkloadStats and retry.
   struct ColdAttempt {
     bool need_stats = false;

@@ -342,4 +342,15 @@ std::string Table::ToString(size_t max_rows) const {
   return out;
 }
 
+size_t ApproxTableBytes(const Table& table) {
+  size_t bytes = sizeof(Table);
+  if (!table.has_rows()) {
+    return bytes;
+  }
+  for (const Row& row : table.rows()) {
+    bytes += ApproxRowBytes(row);
+  }
+  return bytes;
+}
+
 }  // namespace autocat

@@ -164,6 +164,25 @@ class Table {
   size_t columnar_rows_ = 0;
 };
 
+/// The cache's byte estimate for a row-backed table: sizeof(Table), plus
+/// sizeof(Row) per row, plus sizeof(Value) and a string cell's heap
+/// capacity per cell. Column-backed tables count only the handle: their
+/// cells are shared with a mapped store. `ApproxValueBytes` and
+/// `ApproxRowBytes` are the per-cell and per-row terms, for callers that
+/// account cells as they copy them (inline: the cold path's gather calls
+/// them once per result row).
+inline size_t ApproxValueBytes(const Value& v) {
+  return sizeof(Value) + (v.is_string() ? v.string_value().capacity() : 0);
+}
+inline size_t ApproxRowBytes(const Row& row) {
+  size_t bytes = sizeof(Row);
+  for (const Value& v : row) {
+    bytes += ApproxValueBytes(v);
+  }
+  return bytes;
+}
+size_t ApproxTableBytes(const Table& table);
+
 }  // namespace autocat
 
 #endif  // AUTOCAT_STORAGE_TABLE_H_

@@ -107,7 +107,7 @@ Status DeserializeRow(std::ifstream* in, size_t num_columns, Row* out) {
 }
 
 // Approximate resident footprint of a deserialized row.
-size_t ApproxRowBytes(const Row& row) {
+size_t ResidentRowBytes(const Row& row) {
   size_t bytes = sizeof(Row) + row.capacity() * sizeof(Value);
   for (const Value& v : row) {
     if (v.is_string()) {
@@ -151,7 +151,7 @@ Status ExternalRowSorter::AddRow(const Row& row) {
         "row has " + std::to_string(row.size()) + " cells, schema has " +
         std::to_string(schema_.num_columns()) + " columns");
   }
-  chunk_bytes_ += ApproxRowBytes(row);
+  chunk_bytes_ += ResidentRowBytes(row);
   chunk_.push_back(row);
   ++num_rows_;
   if (chunk_bytes_ >= options_.memory_budget_bytes) {

@@ -1,11 +1,11 @@
 #ifndef AUTOCAT_TESTS_EQUIVALENCE_FIXTURE_H_
 #define AUTOCAT_TESTS_EQUIVALENCE_FIXTURE_H_
 
-// Shared fixture for the equivalence gates (row-vs-columnar and
-// legacy-vs-pipeline): the SQL fuzz harness's homes schema, a
-// deterministic table seeded with hostile edge values, bit-exact
-// value/table comparison, and the randomized query generator. Everything
-// is inline so each test binary keeps internal copies.
+// Shared fixture for the equivalence gates (row-vs-columnar,
+// legacy-vs-pipeline and the serve row oracle): the SQL fuzz harness's
+// homes schema, a deterministic table seeded with hostile edge values,
+// bit-exact value/table comparison, and the randomized query generator.
+// Everything is inline so each test binary keeps internal copies.
 
 #include <gtest/gtest.h>
 

@@ -11,6 +11,8 @@
 // int64 extremes, NULLs) at threads {1, 2, 7, 16}, and pin both
 // StatsAccumulate strategies (the dense rank-filter over the per-table
 // presorted order and the sparse gather-and-sort) to the same reference.
+// The row-evaluator selection for profiles the kernels refuse
+// (RunRowSelection) is pinned to MatchesRow and the row oracle's tree.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -26,6 +29,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/categorizer.h"
 #include "exec/executor.h"
 #include "exec/kernels.h"
 #include "exec/pipeline/cold_path.h"
@@ -34,6 +38,8 @@
 #include "sql/selection.h"
 #include "storage/columnar.h"
 #include "storage/table.h"
+#include "workload/counts.h"
+#include "workload/workload.h"
 
 #include "equivalence_fixture.h"
 
@@ -69,8 +75,8 @@ Result<LegacyCold> RunLegacy(const Table& table,
   return out;
 }
 
-// Mirror of the cache's byte accounting (serve/cache.cc ApproxValueBytes)
-// over the stored result rows: the pipeline's result_bytes must equal
+// Independent mirror of the cache's byte accounting (storage/table.h
+// ApproxTableBytes) over the stored result rows: the pipeline's result_bytes must equal
 // what a scan over the finished table would report.
 size_t CacheBytes(const Table& table) {
   size_t bytes = sizeof(Table);
@@ -419,6 +425,109 @@ TEST(PipelineEquivalenceTest, EmptyTableAndUnknownProjectionColumn) {
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kNotFound)
       << bad.status().ToString();
+}
+
+// ------------------------------------------------- refused profiles
+
+// A profile the kernels refuse gets its selection from the row evaluator
+// (RunRowSelection). SQL cannot write a NaN value-set member, so the
+// profile is built by hand; the selection must agree with MatchesRow row
+// for row, the result with SelectRows + Project, and the tree the service
+// builds from it with the row oracle's, over a row-backed table and over
+// its column-backed twin.
+TEST(PipelineEquivalenceTest, RowSelectionServesRefusedProfiles) {
+  const Schema schema = FuzzSchema();
+  const Table rows = MakeHomes(3000, 909, 0.1, false);
+  Database db;
+  ASSERT_TRUE(db.RegisterTable("homes", Table(rows)).ok());
+  AUTOCAT_ASSERT_OK_AND_MOVE(std::shared_ptr<const ColumnarTable> shadow,
+                             db.ColumnarFor("homes"));
+  const Table columns_only = Table::FromColumnar(schema, shadow);
+
+  SelectionProfile profile;
+  profile.Set("bedroomcount",
+              AttributeCondition::ValueSet(
+                  {Value(std::numeric_limits<double>::quiet_NaN())}));
+  profile.Set("neighborhood", AttributeCondition::ValueSet(
+                                  {Value("Redmond"), Value("Ballard")}));
+  const auto refused =
+      CompiledPredicate::CompileProfile(profile, schema, shadow);
+  ASSERT_FALSE(refused.ok());
+  ASSERT_EQ(refused.status().code(), StatusCode::kNotSupported)
+      << refused.status().ToString();
+
+  std::vector<std::string> sqls;
+  Random rng(31);
+  for (int i = 0; i < 60; ++i) {
+    sqls.push_back(RandomQuery(rng, schema));
+  }
+  const Workload workload = Workload::Parse(sqls, schema, nullptr);
+  WorkloadStatsOptions stats_options;
+  stats_options.split_intervals = {{"price", 5000},
+                                   {"squarefootage", 100},
+                                   {"yearbuilt", 5},
+                                   {"bedroomcount", 1},
+                                   {"bathcount", 1}};
+  AUTOCAT_ASSERT_OK_AND_MOVE(
+      const WorkloadStats stats,
+      WorkloadStats::Build(workload, schema, stats_options));
+  CategorizerOptions options;
+  options.attribute_usage_threshold = 0.0;
+  const CostBasedCategorizer categorizer(&stats, options);
+
+  const std::vector<std::vector<std::string>> projections = {
+      {}, {"price", "neighborhood", "bedroomcount", "city"}};
+  for (const Table* base : {&rows, &columns_only}) {
+    for (const std::vector<std::string>& columns : projections) {
+      const std::string context =
+          std::string(base->has_rows() ? "row-backed" : "column-backed") +
+          (columns.empty() ? ", all columns" : ", projected");
+      std::vector<uint32_t> want_selection;
+      std::vector<size_t> want_indices;
+      for (size_t r = 0; r < base->num_rows(); ++r) {
+        if (profile.MatchesRow(base->CopyRow(r), schema)) {
+          want_selection.push_back(static_cast<uint32_t>(r));
+          want_indices.push_back(r);
+        }
+      }
+      ASSERT_FALSE(want_selection.empty()) << context;
+      AUTOCAT_ASSERT_OK_AND_MOVE(Table oracle,
+                                 base->SelectRows(want_indices));
+      if (!columns.empty()) {
+        AUTOCAT_ASSERT_OK_AND_MOVE(oracle, oracle.Project(columns));
+      }
+
+      AUTOCAT_ASSERT_OK_AND_MOVE(ColdPipelineResult got,
+                                 RunRowSelection(profile, *base, columns));
+      EXPECT_EQ(got.selection, want_selection) << context;
+      ExpectTablesBitIdentical(oracle, got.result, context);
+      EXPECT_EQ(got.result_bytes, CacheBytes(got.result)) << context;
+      EXPECT_EQ(got.attr_index.num_rows, oracle.num_rows()) << context;
+      EXPECT_TRUE(got.attr_index.columns.empty()) << context;
+      EXPECT_EQ(got.timings.morsels, 0u) << context;
+
+      // The service's shared steps: one view over the snapshot, one
+      // categorization with the (entry-less) attribute index.
+      AUTOCAT_ASSERT_OK_AND_MOVE(
+          const TableView view,
+          TableView::Create(*base, shadow, std::move(got.selection),
+                            columns));
+      AUTOCAT_ASSERT_OK_AND_MOVE(
+          const CategoryTree tree,
+          categorizer.Categorize(view, got.result, &profile,
+                                 &got.attr_index));
+      AUTOCAT_ASSERT_OK_AND_MOVE(const CategoryTree want_tree,
+                                 categorizer.Categorize(oracle, &profile));
+      EXPECT_GT(want_tree.num_nodes(), 1u) << context;
+      EXPECT_EQ(tree.Render(1000, 0), want_tree.Render(1000, 0)) << context;
+      ASSERT_EQ(tree.num_nodes(), want_tree.num_nodes()) << context;
+      for (size_t id = 0; id < tree.num_nodes(); ++id) {
+        EXPECT_EQ(tree.node(static_cast<NodeId>(id)).tuples,
+                  want_tree.node(static_cast<NodeId>(id)).tuples)
+            << context << " node " << id;
+      }
+    }
+  }
 }
 
 }  // namespace

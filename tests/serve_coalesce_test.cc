@@ -1,9 +1,8 @@
 // In-flight request coalescing (serve/coalesce.h, DESIGN.md §14):
 // registry unit tests for the epoch-versioned flight slot, a
 // burst-of-identical-requests stress run driven through the service's
-// on_cold_execute hook (run under TSan in CI's serve leg), the
-// PutTable-races-a-flight regression, and the serve-level
-// pipeline-vs-legacy bit-identical-responses gate.
+// on_cold_execute hook (run under TSan in CI's serve leg), and the
+// PutTable-races-a-flight regression.
 
 #include <gtest/gtest.h>
 
@@ -19,8 +18,6 @@
 #include "serve/coalesce.h"
 #include "serve/service.h"
 #include "storage/table.h"
-
-#include "equivalence_fixture.h"
 
 namespace autocat {
 namespace {
@@ -341,48 +338,6 @@ TEST(ServiceCoalescingTest, BypassCacheNeverCoalesces) {
   const ServiceMetricsSnapshot snapshot = service->SnapshotMetrics();
   EXPECT_EQ(snapshot.coalesced_leaders - before.coalesced_leaders, 0u);
   EXPECT_EQ(snapshot.coalesced_hits - before.coalesced_hits, 0u);
-}
-
-// ------------------------------------- pipeline-vs-legacy serve responses
-
-TEST(ServiceCoalescingTest, PipelineAndLegacyServeBitIdenticalResponses) {
-  ServiceOptions pipelined;
-  pipelined.use_pipeline = true;
-  ServiceOptions legacy;
-  legacy.use_pipeline = false;
-  auto a = MakeService(std::move(pipelined), /*rows=*/150);
-  auto b = MakeService(std::move(legacy), /*rows=*/150);
-
-  const std::vector<std::string> sqls = {
-      "SELECT * FROM Homes WHERE neighborhood = 'Redmond'",
-      "SELECT * FROM Homes WHERE price BETWEEN 150000 AND 250000",
-      "SELECT * FROM Homes WHERE price <= 300000 AND bedroomcount >= 2",
-      "SELECT neighborhood, price FROM Homes WHERE bedroomcount >= 3",
-      "SELECT * FROM Homes WHERE bedroomcount >= 99",  // empty result
-  };
-  for (const std::string& sql : sqls) {
-    ServeRequest request;
-    request.sql = sql;
-    auto pa = a->Handle(request);
-    auto pb = b->Handle(request);
-    ASSERT_TRUE(pa.ok()) << sql << ": " << pa.status().ToString();
-    ASSERT_TRUE(pb.ok()) << sql << ": " << pb.status().ToString();
-    EXPECT_EQ(pa->signature, pb->signature) << sql;
-    equiv::ExpectTablesBitIdentical(pb->payload->result(),
-                                    pa->payload->result(), sql);
-    EXPECT_EQ(pa->payload->tree().Render(1000, 0),
-              pb->payload->tree().Render(1000, 0))
-        << sql;
-    // The sink's incremental byte accounting must agree with the scan
-    // the legacy path runs over the finished table.
-    EXPECT_EQ(pa->payload->approx_bytes(), pb->payload->approx_bytes())
-        << sql;
-  }
-  const ServiceMetricsSnapshot sa = a->SnapshotMetrics();
-  const ServiceMetricsSnapshot sb = b->SnapshotMetrics();
-  EXPECT_GT(sa.pipeline_requests, 0u);
-  EXPECT_GT(sa.pipeline_morsels, 0u);
-  EXPECT_EQ(sb.pipeline_requests, 0u);
 }
 
 }  // namespace

@@ -3,9 +3,9 @@
 // — same result cells (doubles by bit pattern), same row order, same
 // error Statuses — through every execution path: the row-at-a-time
 // interpreter, the columnar kernels at threads 1 and 7, every partitioner,
-// categorizer and the leaf ranking, and a cold CategorizationService
-// request. Replays the checked-in SQL fuzz corpus plus randomized queries
-// over a table seeded with hostile cells.
+// categorizer, the leaf ranking and the simulated explorer, and a cold
+// CategorizationService request. Replays the checked-in SQL fuzz corpus
+// plus randomized queries over a table seeded with hostile cells.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -25,6 +25,7 @@
 #include "core/partition.h"
 #include "core/ranking.h"
 #include "exec/executor.h"
+#include "explore/exploration.h"
 #include "serve/service.h"
 #include "sql/parser.h"
 #include "sql/selection.h"
@@ -567,6 +568,68 @@ TEST(StoreEquivalenceTest, CategorizeStoreOpenedTableVsMemory) {
       EnumerateBestAttributeOrder(mapped, candidates, &stats, options,
                                   &profile));
   ExpectTreesIdentical(want_order.tree, got_order.tree, "attribute order");
+}
+
+// Simulated exploration of a tree built over a store-opened
+// (column-backed) table: the explorer reads each examined tuple's row, so
+// it must find the same relevant tuples, in the same order, as over the
+// row-backed twin, in both of the paper's scenarios.
+TEST(StoreEquivalenceTest, ExploreStoreOpenedTreeVsMemory) {
+  const StoreEquivalenceFixture f(400, 606, 0.05, false, "explore");
+  const Table& mem = **f.mem_db().GetTable("homes");
+  const Table& mapped = **f.store_db().GetTable("homes");
+  ASSERT_FALSE(mapped.has_rows());
+
+  const Schema schema = FuzzSchema();
+  const std::vector<std::string> sqls = {
+      "SELECT * FROM homes WHERE price BETWEEN 100000 AND 300000",
+      "SELECT * FROM homes WHERE neighborhood IN ('Redmond', 'Ballard') "
+      "AND bedroomcount >= 2",
+      "SELECT * FROM homes WHERE propertytype = 'Condo'",
+      "SELECT * FROM homes WHERE bedroomcount BETWEEN 1 AND 3 AND price "
+      "<= 500000",
+  };
+  const Workload workload = Workload::Parse(sqls, schema, nullptr);
+  ASSERT_EQ(workload.size(), sqls.size());
+  WorkloadStatsOptions stats_options;
+  stats_options.split_intervals = {{"price", 5000}, {"bedroomcount", 1}};
+  AUTOCAT_ASSERT_OK_AND_MOVE(
+      const WorkloadStats stats,
+      WorkloadStats::Build(workload, schema, stats_options));
+  CategorizerOptions options;
+  options.candidate_attributes = {"neighborhood", "propertytype", "price",
+                                  "bedroomcount"};
+  options.attribute_usage_threshold = 0.0;
+  const CostBasedCategorizer categorizer(&stats, options);
+  AUTOCAT_ASSERT_OK_AND_MOVE(const CategoryTree mem_tree,
+                             categorizer.Categorize(mem, nullptr));
+  AUTOCAT_ASSERT_OK_AND_MOVE(const CategoryTree mapped_tree,
+                             categorizer.Categorize(mapped, nullptr));
+  ExpectTreesIdentical(mem_tree, mapped_tree, "explored tree");
+  ASSERT_GT(mem_tree.num_nodes(), 1u);
+
+  for (const std::string& sql : sqls) {
+    AUTOCAT_ASSERT_OK_AND_MOVE(const SelectQuery query, ParseQuery(sql));
+    AUTOCAT_ASSERT_OK_AND_MOVE(const SelectionProfile interest,
+                               SelectionProfile::FromQuery(query, schema));
+    for (const Scenario scenario : {Scenario::kAll, Scenario::kOne}) {
+      SimulatedExplorer::Options explore_options;
+      explore_options.scenario = scenario;
+      const SimulatedExplorer explorer(explore_options);
+      const ExplorationResult want = explorer.Explore(mem_tree, interest);
+      const ExplorationResult got = explorer.Explore(mapped_tree, interest);
+      const std::string context =
+          sql + " [" + std::string(ScenarioToString(scenario)) + "]";
+      EXPECT_GT(want.tuples_examined, 0u) << context;
+      EXPECT_EQ(want.items_examined, got.items_examined) << context;
+      EXPECT_EQ(want.labels_examined, got.labels_examined) << context;
+      EXPECT_EQ(want.tuples_examined, got.tuples_examined) << context;
+      EXPECT_EQ(want.relevant_found, got.relevant_found) << context;
+      EXPECT_EQ(want.categories_explored, got.categories_explored)
+          << context;
+      EXPECT_EQ(want.found_any, got.found_any) << context;
+    }
+  }
 }
 
 // Cold-serve equivalence: two services over the same workload — one with

@@ -22,15 +22,15 @@
 #            concurrency work
 #   --pipeline
 #            run the push-based cold-path pipeline and request-coalescing
-#            suites (legacy-vs-pipeline equivalence at several thread
-#            counts, the morsel scheduler's determinism, the coalescing
-#            registry, and the service burst tests) in Release and under
-#            ASan and TSan, plus bench_pipeline at --smoke sizes — the
-#            targeted gate for operator/scheduler/coalescing work. The
-#            TSan pass of this leg also runs in the default matrix.
+#            suites (pipeline equivalence at several thread counts, the
+#            morsel scheduler's determinism, the coalescing registry, the
+#            service burst tests, and the serve-level row-oracle gate) in
+#            Release and under ASan and TSan — the targeted gate for
+#            operator/scheduler/coalescing work. The TSan pass of this
+#            leg also runs in the default matrix.
 #   --bench-smoke
-#            build and run bench_exec_filter, bench_serve_throughput, and
-#            bench_pipeline at tiny sizes (--smoke) under ASan and TSan —
+#            build and run bench_exec_filter and bench_serve_throughput
+#            at tiny sizes (--smoke) under ASan and TSan —
 #            the targeted gate for the columnar engine's kernels, views,
 #            and the threaded serve path, exercised through the real
 #            benchmark drivers rather than unit fixtures
@@ -139,11 +139,12 @@ serve_leg() {
   run_ctest "serve/$name" "$dir" -R "$SERVE_FILTER"
 }
 
-# The pipeline/coalescing gate: the push-based cold path's
-# legacy-vs-pipeline equivalence suite (bit-identical results and
-# attribute indexes at thread counts 1/2/7/16), the coalescing registry
-# units, and the service-level burst/epoch-invalidation tests.
-PIPELINE_FILTER='^(PipelineEquivalenceTest|CoalescingRegistryTest|ServiceCoalescingTest)\.'
+# The pipeline/coalescing gate: the push-based cold path's equivalence
+# suite (bit-identical results and attribute indexes at thread counts
+# 1/2/7/16, and the row-evaluator selection for refused profiles), the
+# coalescing registry units, the service-level burst/epoch-invalidation
+# tests, and the row-oracle gate over every cold serve answer.
+PIPELINE_FILTER='^(PipelineEquivalenceTest|CoalescingRegistryTest|ServiceCoalescingTest|ServeRowOracleTest)\.'
 
 pipeline_leg() {
   local name="$1" dir="$2"
@@ -152,11 +153,9 @@ pipeline_leg() {
   cmake -B "$ROOT/$dir" -S "$ROOT" "$@"
   echo "==== [pipeline/$name] build ===="
   cmake --build "$ROOT/$dir" -j "$JOBS" \
-    --target autocat_columnar_tests autocat_serve_tests bench_pipeline
+    --target autocat_columnar_tests autocat_serve_tests autocat_store_tests
   echo "==== [pipeline/$name] ctest ===="
   run_ctest "pipeline/$name" "$dir" -R "$PIPELINE_FILTER"
-  echo "==== [pipeline/$name] bench_pipeline --smoke ===="
-  "$ROOT/$dir/bench/bench_pipeline" --smoke --benchmark_min_time=0.01
 }
 
 # The workload-harness gate: scenario/session/traffic generation, the
@@ -228,14 +227,12 @@ bench_smoke_leg() {
   cmake -B "$ROOT/$dir" -S "$ROOT" "$@"
   echo "==== [bench-smoke/$name] build ===="
   cmake --build "$ROOT/$dir" -j "$JOBS" \
-    --target bench_exec_filter bench_serve_throughput bench_pipeline
+    --target bench_exec_filter bench_serve_throughput
   echo "==== [bench-smoke/$name] bench_exec_filter ===="
   "$ROOT/$dir/bench/bench_exec_filter" --smoke --benchmark_min_time=0.01
   echo "==== [bench-smoke/$name] bench_serve_throughput ===="
   "$ROOT/$dir/bench/bench_serve_throughput" --smoke \
     --benchmark_min_time=0.01
-  echo "==== [bench-smoke/$name] bench_pipeline ===="
-  "$ROOT/$dir/bench/bench_pipeline" --smoke --benchmark_min_time=0.01
 }
 
 # The static-analysis leg: thread-safety annotations (clang), the
@@ -367,9 +364,8 @@ if [[ "$FAST" == "0" ]]; then
   # exercise through the benchmark driver).
   workload_leg tsan build-ci-tsan \
     -DCMAKE_BUILD_TYPE=Debug -DAUTOCAT_SANITIZE=thread
-  # The pipeline/coalescing gate's TSan pass: same build-dir reuse; adds
-  # bench_pipeline --smoke under TSan (morsel fan-out through the real
-  # benchmark driver).
+  # The pipeline/coalescing gate's TSan pass: same build-dir reuse; pins
+  # the filter so a future split of the full matrix keeps the gate.
   pipeline_leg tsan build-ci-tsan \
     -DCMAKE_BUILD_TYPE=Debug -DAUTOCAT_SANITIZE=thread
   # The store gate's sanitizer passes (the full ASan/TSan legs above ran
